@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .exponents import (
     AdmissibilityReport,
     ExponentRegion,
-    ExponentTuple,
     deterministic_sharp_alpha,
     full_estimate_check,
     region_membership,
@@ -62,7 +61,6 @@ from .linop import (
     add,
     adjoint,
     commutator_potential,
-    commutator_with_multiplier,
     compose,
     conjugate_free,
     density,

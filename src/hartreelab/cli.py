@@ -48,13 +48,14 @@ from .hartree import (
 )
 from .linop import localized_low_rank, random_low_rank
 from .montecarlo import (
+    _loglog_slope,
     fit_moment_slope,
     full_moment_experiment,
     function_moment_experiment,
     singular_moment_experiment,
 )
 from .norms import lebesgue_norm
-from .randomize import PartitionOfUnity, SubgaussianFamily
+from .randomize import SubgaussianFamily
 
 __all__ = ["main", "run"]
 
@@ -210,9 +211,7 @@ def _cmd_check(args) -> int:
               Fraction(1, 1) / Fraction(args.p).limit_denominator(10**12))
         verdict = region_membership(pt, region)
         print(f"region d={args.d} sigma={sigma}: (1/q, 1/p) = ({pt[0]}, {pt[1]}) -> {verdict}")
-        if verdict in ("outside", "excluded-AB"):
-            return EXIT_OK  # the verdict itself is the answer
-        return EXIT_OK
+        return EXIT_OK  # every verdict, "outside" included, is an answer
     if args.what == "exponents":
         sigma = Fraction(args.sigma).limit_denominator(10**12)
         alpha, r_min = singular_estimate_exponents(args.p, args.q, sigma, args.d)
@@ -334,16 +333,23 @@ def _cmd_hartree(args) -> int:
                 + _provenance(g, run.dt, run.T, seed)
                 for t, s2, r in zip(run.times, run.s2_norms(), run.rho_frames)]
         _write_csv(traj_path, ["t", "q_s2", "rho_l2"] + _PROV_HEADER, rows)
-        contr_path = os.path.join(out_dir, "contraction.csv")
-        _write_csv(contr_path, ["sweep", "delta"] + _PROV_HEADER,
-                   [[i, repr(float(dlt))] + _provenance(g, run.dt, run.T, seed)
-                    for i, dlt in enumerate(run.contraction_history)])
-        rec = _write_record(out_dir, "hartree solve", _cfg_dict(cp), seed,
-                            [traj_path, contr_path], "ok", t0,
-                            extra={"achieved_T": run.T, "R": run.R,
-                                   "data_norm": run.data_norm, "scheme": run.scheme})
-        print(f"achieved T = {run.T:g} after {len(run.contraction_history)} sweeps")
-        print(f"wrote {traj_path}, {contr_path}, {rec}")
+        outputs = [traj_path]
+        extra = {"achieved_T": run.T, "scheme": run.scheme, "meta": run.meta}
+        if use_oracle:
+            # the oracle integrates directly: no sweeps, no ball radius, no data norm
+            summary = f"with the {run.meta['integrator']} integrator"
+        else:
+            contr_path = os.path.join(out_dir, "contraction.csv")
+            _write_csv(contr_path, ["sweep", "delta"] + _PROV_HEADER,
+                       [[i, repr(float(dlt))] + _provenance(g, run.dt, run.T, seed)
+                        for i, dlt in enumerate(run.contraction_history)])
+            outputs.append(contr_path)
+            extra.update(R=run.R, data_norm=run.data_norm)
+            summary = f"after {len(run.contraction_history)} sweeps"
+        rec = _write_record(out_dir, "hartree solve", _cfg_dict(cp), seed, outputs, "ok", t0,
+                            extra=extra)
+        print(f"achieved T = {run.T:g} {summary}")
+        print(f"wrote {', '.join(outputs + [rec])}")
         return EXIT_OK
 
     if args.action == "linearized":
@@ -417,7 +423,9 @@ def _cmd_report(args) -> int:
             # recompute from the raw table for consistency
             for out in rec.get("outputs", []):
                 if out.endswith("moments.csv"):
-                    row["slope_recomputed"] = _slope_from_csv(out)
+                    with open(out) as fh:
+                        table = [(float(r["r"]), float(r["value"])) for r in csv.DictReader(fh)]
+                    row["slope_recomputed"] = _loglog_slope(*zip(*table))[0]
         elif cmd.startswith("hartree solve"):
             row["achieved_T"] = rec.get("achieved_T", "")
             row["R"] = rec.get("R", "")
@@ -440,27 +448,12 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _slope_from_csv(path: str) -> float:
-    orders, values = [], []
-    with open(path) as fh:
-        rd = csv.DictReader(fh)
-        for row in rd:
-            orders.append(float(row["r"]))
-            values.append(float(row["value"]))
-    x, y = np.log(orders), np.log(values)
-    A = np.vstack([x, np.ones_like(x)]).T
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(sol[0])
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hartreelab")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="worker count hint (execution is deterministic regardless)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     chk = sub.add_parser("check", help="exponent arithmetic")
@@ -480,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--out", required=True)
 
     ha = sub.add_parser("hartree", help="Hartree solver experiments")
-    ha.add_argument("action", choices=["solve", "linearized", "scatter", "calibrate-l1"])
+    ha.add_argument("action", choices=["solve", "linearized", "scatter"])
     ha.add_argument("--config", required=True)
     ha.add_argument("--out", required=True)
 
@@ -496,12 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse and execute; returns the exit code (0 ok, 1 validation, 2 numeric)."""
-    if os.environ.get("HARTREELAB_WORKERS"):
-        try:
-            int(os.environ["HARTREELAB_WORKERS"])
-        except ValueError:
-            print("HARTREELAB_WORKERS must be an integer", file=sys.stderr)
-            return EXIT_VALIDATION
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -513,8 +500,6 @@ def run(argv=None) -> int:
         if args.subcommand == "strichartz":
             return _cmd_strichartz(args)
         if args.subcommand == "hartree":
-            if args.action == "calibrate-l1":
-                return _cmd_calibrate(args)
             return _cmd_hartree(args)
         if args.subcommand == "calibrate-l1":
             return _cmd_calibrate(args)

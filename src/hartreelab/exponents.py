@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "ExponentTuple",
     "ExponentRegion",
     "AdmissibilityReport",
     "deterministic_sharp_alpha",
@@ -38,19 +37,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     return Fraction(x).limit_denominator(10**12)
-
-
-@dataclass(frozen=True)
-class ExponentTuple:
-    """One exponent configuration for the moment-growth experiments."""
-
-    d: int
-    p: float
-    q: float
-    alpha: float | None = None
-    sigma: float = 0.0
-    q_hat: float | None = None
-    r: float | None = None
 
 
 def deterministic_sharp_alpha(q, d: int):

@@ -7,6 +7,15 @@ Picard iteration.  The linearized flow is solved globally by inverting
 (1 + L1) with causal time-marching, where L1 is the linear response
 operator, diagonal in the spatial frequency of the density.
 
+Both halves rest on one object, the interaction-picture Duhamel integral
+D_V[A](t) = -i int_0^t U(t-tau) [V(tau), A(tau)] U(tau-t) dtau.  Every dense
+evaluation of it goes through the one accumulator _duhamel_accumulate: the
+Picard map, duhamel_series, the reconstruction of Q(t) in linearized_solve,
+the wave operator W(t) = U(-t) Q(t) U(t) of scattering_diagnostic, and the
+direct response L1[g] = -rho(D_{w*g}[gamma_f]) of l1_apply_direct.  The
+frequency-domain L1 is one causal lag sum, _lag_sum, shared by
+l1_apply_fourier, _l1_convolve and _march_density.
+
 Dense kernels are used for the nonlinear solver (guarded by grid size);
 the linear-response path works frame-by-frame in frequency and scales to
 finer grids.
@@ -25,13 +34,15 @@ from .grid import (
     Grid,
     _check_same_grid,
     convolve_potential,
-    make_grid,
 )
 from .linop import (
     DenseOperator,
     LowRankOperator,
+    _commutator_kernel,
     _displacement_kernel,
-    density,
+    _freq_reflect,
+    _kernel_left_mult,
+    _kernel_right_mult,
     recompress,
     schatten_norm,
     to_dense,
@@ -62,14 +73,6 @@ __all__ = [
 ]
 
 _DENSE_GUARD = 2048
-
-
-def _freq_reflect(a: np.ndarray) -> np.ndarray:
-    """Value at -xi for an array in FFT frequency order."""
-    out = a
-    for ax in range(a.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
 
 
 @dataclass
@@ -172,26 +175,6 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
 # dense-kernel helpers (raw arrays, flattened row-major grid)
 
 
-def _kernel_left_mult(sym: np.ndarray, K: np.ndarray, grid: Grid) -> np.ndarray:
-    """m(-i grad_x) K, multiplier over the first kernel index."""
-    N = grid.npoints
-    A = K.reshape(grid.shape + (N,))
-    axes = tuple(range(grid.d))
-    return np.fft.ifftn(sym[..., None] * np.fft.fftn(A, axes=axes), axes=axes).reshape(N, N)
-
-
-def _kernel_right_mult(sym: np.ndarray, K: np.ndarray, grid: Grid) -> np.ndarray:
-    """K m(-i grad), multiplier over the second kernel index.
-
-    In the y-transform the symbol enters reflected, m(-eta).
-    """
-    N = grid.npoints
-    A = K.reshape((N,) + grid.shape)
-    axes = tuple(range(1, grid.d + 1))
-    m = _freq_reflect(sym)
-    return np.fft.ifftn(m[None] * np.fft.fftn(A, axes=axes), axes=axes).reshape(N, N)
-
-
 def _kernel_free_conj(K: np.ndarray, grid: Grid, t: float, xi2=None) -> np.ndarray:
     """U(t) K U(-t) on a raw dense kernel."""
     if xi2 is None:
@@ -230,8 +213,43 @@ def _potential_field(bg: BackgroundState, rho_values: np.ndarray) -> Field:
     return Field(bg.grid, np.real(convolve_potential(bg.w_hat, rho).values))
 
 
+def _flat_potential(bg: BackgroundState, rho_values: np.ndarray) -> np.ndarray:
+    """w * rho flattened like a dense kernel's indices, for the commutator kernel."""
+    return _potential_field(bg, rho_values).values.reshape(-1).real
+
+
+def _kernel_potential(bg: BackgroundState, K: np.ndarray) -> np.ndarray:
+    """The flattened potential w * rho_K generated by a dense kernel's density."""
+    return _flat_potential(bg, np.diagonal(K).reshape(bg.grid.shape))
+
+
 # ---------------------------------------------------------------------------
 # Duhamel term
+
+
+def _duhamel_accumulate(grid: Grid, times: np.ndarray, steps, commutator):
+    """Yield (k, t_k, W_k), W_k = -i int_0^{t_k} U(-tau) C(tau) U(tau) dtau.
+
+    The one dense interaction-picture accumulator: C(t_k) = commutator(k) is
+    a dense kernel, and the integral is the trapezoid rule with step
+    ``steps[k - 1]`` on [t_{k-1}, t_k] (an array, or one scalar for all
+    steps).  Pass the step the caller's time grid was built with: for
+    ``dt * arange`` grids that is ``dt``, whose last bit can differ from
+    ``t_k - t_{k-1}``.  Each W_k is a new array, never written to later, so
+    callers may keep it.  With C = [V, A], U(t_k) W_k U(-t_k) is the Duhamel
+    term D_V[A](t_k).
+    """
+    steps = np.broadcast_to(steps, (len(times) - 1,))
+    xi2 = grid.xi_squared()
+    W = np.zeros((grid.npoints, grid.npoints), dtype=complex)
+    Fprev = None
+    for k, t in enumerate(times):
+        Fk = -1j * _kernel_free_conj(commutator(k), grid, -t, xi2)
+        if k > 0:
+            step = steps[k - 1]
+            W = W + (step / 2) * (Fprev + Fk)
+        Fprev = Fk
+        yield k, t, W
 
 
 def _times_index(times: np.ndarray, t: float) -> int:
@@ -258,7 +276,6 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
     """
     times = V.times
     grid = V.frames[0].grid
-    w = trapezoid_weights(times)
     xi2 = grid.xi_squared()
 
     lowrank = isinstance(_frame_at(A, 0), LowRankOperator) and not isinstance(A, BackgroundState)
@@ -310,30 +327,14 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
 
     if grid.npoints > _DENSE_GUARD:
         raise ValueError(f"dense Duhamel path needs npoints <= {_DENSE_GUARD}")
-    if isinstance(A, BackgroundState):
-        kf = gamma_f_kernel(A)
-        frames = None
-    else:
-        frames = A
-        kf = None
-    W = np.zeros((grid.npoints, grid.npoints), dtype=complex)
-    Fprev = None
-    for k, t in enumerate(times):
-        v = np.real(V.frames[k].values).reshape(-1)
-        if kf is not None:
-            Kk = kf
-        else:
-            Kk = to_dense(_frame_at(frames, k)).kernel
-        commut = (v[:, None] - v[None, :]) * Kk
-        Fk = -1j * _kernel_free_conj(commut, grid, -t, xi2)
-        if k == 0:
-            out.append(DenseOperator(grid, np.zeros_like(W)))
-        else:
-            dt = times[k] - times[k - 1]
-            W = W + (dt / 2) * (Fprev + Fk)
-            out.append(DenseOperator(grid, _kernel_free_conj(W, grid, t, xi2)))
-        Fprev = Fk
-    return out
+    kf = gamma_f_kernel(A) if isinstance(A, BackgroundState) else None
+
+    def commutator(k):
+        Kk = kf if kf is not None else to_dense(_frame_at(A, k)).kernel
+        return _commutator_kernel(np.real(V.frames[k].values).reshape(-1), Kk)
+
+    return [DenseOperator(grid, _kernel_free_conj(W, grid, t, xi2) if k else np.zeros_like(W))
+            for k, t, W in _duhamel_accumulate(grid, times, np.diff(times), commutator)]
 
 
 def duhamel_term(V: Trajectory, A, t: float, bg: BackgroundState | None = None):
@@ -452,6 +453,9 @@ def picard_solve(
     kf = gamma_f_kernel(bg)
     xi2 = g.xi_squared()
 
+    def commutator(k):  # [V, Q + gamma_f] on the current sweep's iterate Q
+        return _commutator_kernel(_kernel_potential(bg, Q[k]), Q[k] + kf)
+
     T = float(T_target)
     for halving in range(max_halvings + 1):
         times = _uniform_times(T, dt)
@@ -468,21 +472,8 @@ def picard_solve(
         converged = False
         failed = False
         for sweep in range(max_sweeps):
-            V_fields = []
-            W = np.zeros_like(K0)
-            Fprev = None
-            Qnew = []
-            for k, t in enumerate(times):
-                rho = np.real(np.diagonal(Q[k]).reshape(g.shape))
-                V = _potential_field(bg, rho)
-                V_fields.append(V)
-                v = V.values.reshape(-1).real
-                commut = (v[:, None] - v[None, :]) * (Q[k] + kf)
-                Fk = -1j * _kernel_free_conj(commut, g, -t, xi2)
-                if k > 0:
-                    W = W + (dt / 2) * (Fprev + Fk)
-                Qnew.append(_kernel_free_conj(K0 + W, g, t, xi2))
-                Fprev = Fk
+            Qnew = [_kernel_free_conj(K0 + W, g, t, xi2)
+                    for k, t, W in _duhamel_accumulate(g, times, dt, commutator)]
             delta = max(_kernel_s2(Qnew[k] - Q[k], g) for k in range(nfr))
             rho_delta = Trajectory(
                 times,
@@ -528,11 +519,8 @@ def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun
     xi2 = g.xi_squared()
 
     def rhs(K):
-        rho = np.real(np.diagonal(K).reshape(g.shape))
-        v = _potential_field(bg, rho).values.reshape(-1).real
         lap = _kernel_left_mult(xi2, K, g) - _kernel_right_mult(xi2, K, g)
-        commut = (v[:, None] - v[None, :]) * (K + kf)
-        return -1j * (lap + commut)
+        return -1j * (lap + _commutator_kernel(_kernel_potential(bg, K), K + kf))
 
     times = _uniform_times(T, dt)
     K = to_dense(Q0).kernel.copy()
@@ -585,21 +573,14 @@ def l1_apply_direct(gtr: Trajectory, bg: BackgroundState) -> Trajectory:
     kf = gamma_f_kernel(bg)
     xi2 = g.xi_squared()
     times = gtr.times
-    W = np.zeros((g.npoints, g.npoints), dtype=complex)
-    Fprev = None
-    out = []
-    for k, t in enumerate(times):
-        phi = _potential_field(bg, np.real(gtr.frames[k].values)).values.reshape(-1).real
-        B = (phi[:, None] - phi[None, :]) * kf
-        Fk = _kernel_free_conj(B, g, -t, xi2)
-        if k == 0:
-            out.append(Field(g, np.zeros(g.shape)))
-        else:
-            dt = times[k] - times[k - 1]
-            W = W + (dt / 2) * (Fprev + Fk)
-            D = 1j * _kernel_free_conj(W, g, t, xi2)
-            out.append(Field(g, np.diagonal(D).reshape(g.shape)))
-        Fprev = Fk
+
+    def commutator(k):
+        return _commutator_kernel(_flat_potential(bg, gtr.frames[k].values), kf)
+
+    # L1[g] = -rho(D_{w*g}[gamma_f]); only each frame's diagonal is kept.
+    out = [Field(g, -np.diagonal(_kernel_free_conj(W, g, t, xi2)).reshape(g.shape) if k
+                 else np.zeros(g.shape))
+           for k, t, W in _duhamel_accumulate(g, times, np.diff(times), commutator)]
     return Trajectory(times, out)
 
 
@@ -652,21 +633,9 @@ def _l1_kernel_stack(bg: BackgroundState, n_frames: int, dt: float) -> np.ndarra
 
 def l1_apply_fourier(gtr: Trajectory, bg: BackgroundState, c0: float) -> Trajectory:
     """Frequency-domain L1: diagonal in zeta, causal convolution in time."""
-    g = bg.grid
-    times = gtr.times
-    K = len(times)
-    dt = float(times[1] - times[0])
-    G = _l1_kernel_stack(bg, K, dt)
     ghat = np.stack([np.fft.fftn(fr.values) for fr in gtr.frames])
-    out_hat = np.zeros_like(ghat)
-    for k in range(1, K):
-        # trapezoid over [0, t_k]; the j = k endpoint vanishes (G[0] = 0)
-        w = np.full(k, dt)
-        w[0] = dt / 2
-        wshape = (k,) + (1,) * g.d
-        out_hat[k] = c0 * np.sum(w.reshape(wshape) * G[k - np.arange(k)] * ghat[:k], axis=0)
-    frames = [Field(g, np.fft.ifftn(out_hat[k])) for k in range(K)]
-    return Trajectory(times, frames)
+    out_hat = _l1_convolve(bg, gtr.times, ghat, c0)
+    return Trajectory(gtr.times, [Field(bg.grid, np.fft.ifftn(h)) for h in out_hat])
 
 
 @dataclass
@@ -740,6 +709,18 @@ class LinearizedRun:
     Q_frames: list | None = None
 
 
+def _lag_sum(G: np.ndarray, x_hat: np.ndarray, k: int, dt: float) -> np.ndarray:
+    """Causal trapezoid sum over [0, t_k] of G(t_k - t_j) x_hat(t_j), j < k.
+
+    The j = k endpoint drops out because G[0] = 0, which is what makes the
+    march in _march_density explicit.
+    """
+    w = np.full(k, dt)
+    w[0] = dt / 2
+    wshape = (k,) + (1,) * (x_hat.ndim - 1)
+    return np.sum(w.reshape(wshape) * G[k - np.arange(k)] * x_hat[:k], axis=0)
+
+
 def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarray,
                    c0: float) -> np.ndarray:
     """Causal solve of (1 + L1) rho = source in frequency; returns rho_hat."""
@@ -750,12 +731,7 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
     rho_hat[0] = source_hat[0]
     src_scale = float(np.linalg.norm(source_hat))
     for k in range(1, K):
-        # the j = k endpoint vanishes (G[0] = 0), so the frame is explicit
-        w = np.full(k, dt)
-        w[0] = dt / 2
-        wshape = (k,) + (1,) * (source_hat.ndim - 1)
-        acc = np.sum(w.reshape(wshape) * G[k - np.arange(k)] * rho_hat[:k], axis=0)
-        rho_hat[k] = source_hat[k] - c0 * acc
+        rho_hat[k] = source_hat[k] - c0 * _lag_sum(G, rho_hat, k, dt)
         if src_scale > 0 and np.linalg.norm(rho_hat[k]) > 1e6 * src_scale:
             raise RuntimeError(
                 "linearized marching diverged: growth factor "
@@ -766,15 +742,13 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
 
 def _l1_convolve(bg: BackgroundState, times: np.ndarray, rho_hat: np.ndarray,
                  c0: float) -> np.ndarray:
+    """c0 L1 applied frame by frame in frequency to rho_hat, shape (K,) + grid.shape."""
     K = len(times)
     dt = float(times[1] - times[0])
     G = _l1_kernel_stack(bg, K, dt)
     out = np.zeros_like(rho_hat)
     for k in range(1, K):
-        w = np.full(k, dt)
-        w[0] = dt / 2
-        wshape = (k,) + (1,) * (rho_hat.ndim - 1)
-        out[k] = c0 * np.sum(w.reshape(wshape) * G[k - np.arange(k)] * rho_hat[:k], axis=0)
+        out[k] = c0 * _lag_sum(G, rho_hat, k, dt)
     return out
 
 
@@ -804,17 +778,12 @@ def linearized_solve(
         kf = gamma_f_kernel(bg)
         xi2 = g.xi_squared()
         K0 = to_dense(Q0).kernel
-        W = np.zeros_like(K0)
-        Fprev = None
-        Q_frames = []
-        for k, t in enumerate(times):
-            v = _potential_field(bg, rho_frames[k].values).values.reshape(-1).real
-            B = (v[:, None] - v[None, :]) * kf
-            Fk = -1j * _kernel_free_conj(B, g, -t, xi2)
-            if k > 0:
-                W = W + (dt / 2) * (Fprev + Fk)
-            Q_frames.append(_kernel_free_conj(K0 + W, g, t, xi2))
-            Fprev = Fk
+
+        def commutator(k):
+            return _commutator_kernel(_flat_potential(bg, rho_frames[k].values), kf)
+
+        Q_frames = [_kernel_free_conj(K0 + W, g, t, xi2)
+                    for k, t, W in _duhamel_accumulate(g, times, dt, commutator)]
     return LinearizedRun(
         times=times, rho_frames=rho_frames, source_frames=list(src_traj.frames),
         residual=residual, c0=float(c0), Q_frames=Q_frames,
@@ -869,19 +838,11 @@ def scattering_diagnostic(
     idx = [_times_index(times, t) for t in ladder]
 
     kf = gamma_f_kernel(bg)
-    xi2 = g.xi_squared()
-    W = np.zeros((g.npoints, g.npoints), dtype=complex)
-    Fprev = None
-    snapshots = []
-    for k, t in enumerate(times):
-        v = _potential_field(bg, rho_frames[k]).values.reshape(-1).real
-        B = (v[:, None] - v[None, :]) * kf
-        Fk = -1j * _kernel_free_conj(B, g, -t, xi2)
-        if k > 0:
-            W = W + (dt / 2) * (Fprev + Fk)
-        Fprev = Fk
-        if k in idx:
-            snapshots.append(W.copy())
+
+    def commutator(k):
+        return _commutator_kernel(_flat_potential(bg, rho_frames[k]), kf)
+
+    snapshots = [W for k, _, W in _duhamel_accumulate(g, times, dt, commutator) if k in idx]
     dists = np.array([
         schatten_norm(DenseOperator(g, snapshots[i + 1] - snapshots[i]), alpha_sc).value
         for i in range(len(snapshots) - 1)

@@ -39,7 +39,6 @@ __all__ = [
     "conjugate_free",
     "multiply_potential",
     "commutator_potential",
-    "commutator_with_multiplier",
     "multiplier_sandwich_schatten",
     "spectrum_hermitian",
     "add",
@@ -192,20 +191,32 @@ def _apply_multiplier_stack(m: FourierMultiplier, stack: np.ndarray, grid: Grid)
     return np.fft.ifftn(m.symbol[None] * np.fft.fftn(stack, axes=axes), axes=axes)
 
 
-def _dense_left_multiplier(m: FourierMultiplier, kernel: np.ndarray, grid: Grid) -> np.ndarray:
-    # (M K)(x, y): apply the multiplier over the x index for every column.
-    K = kernel.reshape(grid.shape + (grid.npoints,))
+def _freq_reflect(a: np.ndarray) -> np.ndarray:
+    """Value at -xi for an array in FFT frequency order."""
+    out = a
+    for ax in range(a.ndim):
+        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+    return out
+
+
+def _kernel_left_mult(sym: np.ndarray, K: np.ndarray, grid: Grid) -> np.ndarray:
+    """m(-i grad_x) K on a raw dense kernel: the symbol acts over the first index."""
+    N = grid.npoints
+    A = K.reshape(grid.shape + (N,))
     axes = tuple(range(grid.d))
-    out = np.fft.ifftn(
-        m.symbol[..., None] * np.fft.fftn(K, axes=axes), axes=axes
-    )
-    return out.reshape(grid.npoints, grid.npoints)
+    return np.fft.ifftn(sym[..., None] * np.fft.fftn(A, axes=axes), axes=axes).reshape(N, N)
 
 
-def _dense_right_multiplier(m: FourierMultiplier, kernel: np.ndarray, grid: Grid) -> np.ndarray:
-    # K M = (M^dagger K^dagger)^dagger with M^dagger the conjugate symbol.
-    mdag = FourierMultiplier(grid, np.conj(m.symbol))
-    return np.conj(_dense_left_multiplier(mdag, np.conj(kernel).T, grid)).T
+def _kernel_right_mult(sym: np.ndarray, K: np.ndarray, grid: Grid) -> np.ndarray:
+    """K m(-i grad) on a raw dense kernel: the symbol acts over the second index.
+
+    In the y-transform the symbol enters reflected, m(-eta).
+    """
+    N = grid.npoints
+    A = K.reshape((N,) + grid.shape)
+    axes = tuple(range(1, grid.d + 1))
+    m = _freq_reflect(sym)
+    return np.fft.ifftn(m[None] * np.fft.fftn(A, axes=axes), axes=axes).reshape(N, N)
 
 
 def _conjugate_multiplier(A, m: FourierMultiplier):
@@ -219,10 +230,8 @@ def _conjugate_multiplier(A, m: FourierMultiplier):
             _apply_multiplier_stack(m, A.left, A.grid),
             _apply_multiplier_stack(m, A.right, A.grid),
         )
-    k = _dense_left_multiplier(m, A.kernel, A.grid)
-    mstar = FourierMultiplier(A.grid, np.conj(m.symbol))
-    k = _dense_right_multiplier(mstar, k, A.grid)
-    return DenseOperator(A.grid, k)
+    k = _kernel_left_mult(m.symbol, A.kernel, A.grid)
+    return DenseOperator(A.grid, _kernel_right_mult(np.conj(m.symbol), k, A.grid))
 
 
 def sobolev_schatten_norm(A, s: float, alpha: float) -> SchattenReport:
@@ -252,12 +261,15 @@ def multiply_potential(V: Field, A, side: str = "left") -> DenseOperator:
     raise ValueError("side must be 'left' or 'right'")
 
 
+def _commutator_kernel(v: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Kernel (v(x) - v(y)) K(x, y) of [v, K], for v flattened like the kernel's indices."""
+    return (v[:, None] - v[None, :]) * K
+
+
 def commutator_potential(V: Field, A) -> DenseOperator:
     """[V, A] with V a (real) potential, dense kernel (V(x)-V(y)) A(x,y)."""
     _check_same_grid(V.grid, A.grid)
-    Ad = to_dense(A)
-    v = V.values.reshape(-1)
-    return DenseOperator(A.grid, (v[:, None] - v[None, :]) * Ad.kernel)
+    return DenseOperator(A.grid, _commutator_kernel(V.values.reshape(-1), to_dense(A).kernel))
 
 
 def _displacement_kernel(m: FourierMultiplier) -> np.ndarray:
@@ -275,15 +287,6 @@ def _displacement_kernel(m: FourierMultiplier) -> np.ndarray:
 
 def multiplier_to_dense(m: FourierMultiplier) -> DenseOperator:
     return DenseOperator(m.grid, _displacement_kernel(m))
-
-
-def commutator_with_multiplier(V: Field, m: FourierMultiplier) -> DenseOperator:
-    """[V, m(-i grad)] with kernel (V(x) - V(y)) k_m(x - y)."""
-    _check_same_grid(V.grid, m.grid)
-    g = V.grid
-    km = _displacement_kernel(m)
-    v = V.values.reshape(-1)
-    return DenseOperator(g, (v[:, None] - v[None, :]) * km)
 
 
 def multiplier_sandwich_schatten(f: Field, g_symbol: FourierMultiplier, alpha: float) -> float:

@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import full_estimate_check, singular_estimate_exponents
-from .grid import Field, bessel_multiplier, fourier_forward, make_grid
+from .grid import Field, bessel_multiplier, make_grid
 from .linop import (
     LowRankOperator,
-    _apply_multiplier_stack,
+    _conjugate_multiplier,
     random_low_rank,
     recompress,
     schatten_norm,
@@ -134,24 +134,15 @@ def singular_moment_experiment(
         operator = random_low_rank(grid, rank, op_rng, hermitian=True)
     A = operator
     if sigma != 0:
-        J = bessel_multiplier(grid, sigma)
-        A = LowRankOperator(
-            grid,
-            A.coeffs,
-            _apply_multiplier_stack(J, A.left, grid),
-            _apply_multiplier_stack(J, A.right, grid),
-        )
+        A = _conjugate_multiplier(A, bessel_multiplier(grid, sigma))
     A = recompress(A, tol=0.0)
-    left, right = A.left, A.right
-    if sigma != 0:
-        Jinv = bessel_multiplier(grid, -sigma)
-        left = _apply_multiplier_stack(Jinv, left, grid)
-        right = _apply_multiplier_stack(Jinv, right, grid)
+    # the draws rescale A's singular values; the weight is undone on its factors
+    B = _conjugate_multiplier(A, bessel_multiplier(grid, -sigma)) if sigma != 0 else A
 
     times = np.linspace(0.0, T, n_frames)
     axes = tuple(range(1, d + 1))
-    lhat = np.fft.fftn(left, axes=axes)
-    rhat = np.fft.fftn(right, axes=axes)
+    lhat = np.fft.fftn(B.left, axes=axes)
+    rhat = np.fft.fftn(B.right, axes=axes)
     xi2 = grid.xi_squared()
     bsym = bessel_multiplier(grid, sigma).symbol if sigma != 0 else None
     modes = np.empty((A.rank, n_frames) + grid.shape, dtype=complex)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Field, FourierMultiplier, Grid, _check_same_grid, apply_multiplier, bessel_multiplier
-from .linop import LowRankOperator, recompress, _apply_multiplier_stack
+from .linop import LowRankOperator, _conjugate_multiplier, recompress
 
 __all__ = [
     "SubgaussianFamily",
@@ -196,13 +196,7 @@ def full_randomize(
     A = singular_value_randomize(A, family_g, stream_g)
     if A.rank == 0:
         return A
-    R = wiener_weight(family_ell, pou, stream_ell)
-    return LowRankOperator(
-        A.grid,
-        A.coeffs,
-        _apply_multiplier_stack(R, A.left, A.grid),
-        _apply_multiplier_stack(R, A.right, A.grid),
-    )
+    return _conjugate_multiplier(A, wiener_weight(family_ell, pou, stream_ell))
 
 
 def sobolev_conjugated_randomize(
@@ -223,23 +217,11 @@ def sobolev_conjugated_randomize(
         raise ValueError("which must be 'singular' or 'full'")
     g = A.grid
     if sigma != 0:
-        J = bessel_multiplier(g, sigma)
-        A = LowRankOperator(
-            g,
-            A.coeffs,
-            _apply_multiplier_stack(J, A.left, g),
-            _apply_multiplier_stack(J, A.right, g),
-        )
+        A = _conjugate_multiplier(A, bessel_multiplier(g, sigma))
     if which == "singular":
         out = singular_value_randomize(A, family_g, stream_g)
     else:
         out = full_randomize(A, family_g, family_ell, pou, stream_g, stream_ell)
-    if sigma != 0 and out.rank:
-        Jinv = bessel_multiplier(g, -sigma)
-        out = LowRankOperator(
-            g,
-            out.coeffs,
-            _apply_multiplier_stack(Jinv, out.left, g),
-            _apply_multiplier_stack(Jinv, out.right, g),
-        )
+    if sigma != 0:
+        out = _conjugate_multiplier(out, bessel_multiplier(g, -sigma))
     return out

@@ -56,13 +56,6 @@ def test_check_validation_failures():
     assert run(["frobnicate"]) == 1
 
 
-def test_workers_env_validation(monkeypatch):
-    monkeypatch.setenv("HARTREELAB_WORKERS", "not-a-number")
-    assert run(["check", "region", "--d", "2", "--sigma", "0", "--p", "4", "--q", "4"]) == 1
-    monkeypatch.setenv("HARTREELAB_WORKERS", "4")
-    assert run(["check", "region", "--d", "2", "--sigma", "0", "--p", "4", "--q", "4"]) == 0
-
-
 def test_strichartz_deterministic_byte_identical(tmp_path):
     cfg = _write(tmp_path / "exp.config", SINGULAR_CONFIG)
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -124,6 +117,30 @@ def test_hartree_picard_matches_golden_at_tolerance(tmp_path):
     assert rec["achieved_T"] == pytest.approx(0.1)
 
 
+def test_solve_record_names_the_integrator(tmp_path, capsys):
+    oracle, picard = tmp_path / "oracle", tmp_path / "picard"
+    assert run(["hartree", "solve", "--config", str(DATA / "reference_d1.config"),
+                "--out", str(oracle)]) == 0
+    said = capsys.readouterr().out
+    assert "with the rk4 integrator" in said and "sweeps" not in said
+    rec = json.loads((oracle / "record.json").read_text())
+    assert rec["meta"] == {"integrator": "rk4"} and rec["scheme"] == "rk4"
+    assert "R" not in rec and "data_norm" not in rec
+    assert rec["outputs"] == [str(oracle / "trajectory.csv")]
+    assert not (oracle / "contraction.csv").exists()
+    assert (oracle / "trajectory.csv").read_bytes() == (DATA / "golden_trajectory.csv").read_bytes()
+
+    assert run(["hartree", "solve", "--config", str(DATA / "reference_d1_picard.config"),
+                "--out", str(picard)]) == 0
+    rec = json.loads((picard / "record.json").read_text())
+    with open(picard / "contraction.csv") as fh:
+        sweeps = len(list(csv.DictReader(fh)))
+    assert sweeps > 0 and rec["meta"] == {"halvings": 0, "sweeps": sweeps}
+    assert f"after {sweeps} sweeps" in capsys.readouterr().out
+    assert rec["R"] > 0 and rec["data_norm"] > 0
+    assert rec["outputs"] == [str(picard / "trajectory.csv"), str(picard / "contraction.csv")]
+
+
 def test_hartree_numeric_failure_exits_two(tmp_path):
     # strong coupling plus a step so coarse there is no room to halve the window
     cfg = (DATA / "reference_d1_picard.config").read_text().replace(
@@ -149,10 +166,6 @@ def test_hartree_linearized_and_calibrate(tmp_path):
     rec2 = json.loads((out2 / "record.json").read_text())
     assert rec2["c0"] == pytest.approx(2.0, abs=1e-9)
     assert rec2["residual"] <= 1e-6
-    # the same action is reachable through the hartree subcommand
-    out3 = tmp_path / "cal2"
-    assert run(["hartree", "calibrate-l1", "--config",
-                str(DATA / "reference_d1_picard.config"), "--out", str(out3)]) == 0
 
 
 def test_report_recomputes_slopes_consistently(tmp_path):

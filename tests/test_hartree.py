@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hartreelab.cli import _background_from_config, _get, _initial_operator, _load_config
-from hartreelab.grid import Field, make_grid
+from hartreelab.grid import Field, convolve_potential, make_grid
 from hartreelab.hartree import (
     background_density,
     calibrate_l1_constant,
@@ -24,7 +24,10 @@ from hartreelab.hartree import (
     stationarity_residual,
 )
 from hartreelab.linop import (
+    DenseOperator,
     LowRankOperator,
+    conjugate_free,
+    density,
     localized_low_rank,
     random_low_rank,
     schatten_norm,
@@ -213,6 +216,45 @@ def test_l1_fourier_matches_direct_on_random_densities():
             F = np.stack([f.values for f in l1_apply_fourier(gtr, bg, c0).frames])
             scale = max(np.max(np.abs(D)), 1e-300)
             assert np.max(np.abs(D - F)) / scale < 1e-8
+
+
+def _potential(bg, rho: Field) -> Field:
+    """w * rho, real part, as the solvers form it."""
+    g = bg.grid
+    return Field(g, np.real(convolve_potential(bg.w_hat, Field(g, np.real(rho.values))).values))
+
+
+def test_l1_direct_is_minus_density_of_background_duhamel():
+    # L1[g] = -rho(D_{w*g}[gamma_f]): the response is the density of the
+    # background's Duhamel term driven by the potential of g.
+    for d, n in ((1, 32), (2, 8)):
+        g = make_grid(d, n, 12.0)
+        bg = make_background(g, "gaussian", "gaussian")
+        gtr = _random_density_trajectory(g, 7, 0.04, 3)
+        V = Trajectory(gtr.times, [_potential(bg, fr) for fr in gtr.frames])
+        direct = l1_apply_direct(gtr, bg).frames
+        duhamel = duhamel_series(V, bg)
+        for got, D in zip(direct, duhamel):
+            want = -density(D).values
+            assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_picard_solution_is_a_duhamel_fixed_point():
+    # Q(t) = U(t) Q0 U(-t) + D_V[Q](t) + D_V[gamma_f](t) with V = w * rho_Q,
+    # the integral equation the sweep iterates, checked through duhamel_series.
+    g = make_grid(1, 32, 20.0)
+    bg = make_background(g, "gaussian", "delta", f_scale=0.5)
+    Q0 = _small_data(g, rank=4, seed=1, scale=0.1)
+    run = picard_solve(Q0, bg, 0.05, 1e-3, scheme="d1")
+    assert run.T == pytest.approx(0.05)
+    V = Trajectory(run.times, [_potential(bg, rho) for rho in run.rho_frames])
+    D_Q = duhamel_series(V, [DenseOperator(g, K) for K in run.Q_frames])
+    D_f = duhamel_series(V, bg)
+    K0 = to_dense(Q0)
+    scale = max(np.linalg.norm(K) for K in run.Q_frames)
+    for t, K, a, b in zip(run.times, run.Q_frames, D_Q, D_f):
+        rhs = conjugate_free(K0, t).kernel + a.kernel + b.kernel
+        assert np.linalg.norm(K - rhs) <= 1e-9 * scale
 
 
 def test_l1_is_linear_and_vanishes_without_background():
