@@ -16,6 +16,17 @@ direct response L1[g] = -rho(D_{w*g}[gamma_f]) of l1_apply_direct.  The
 frequency-domain L1 is one causal lag sum, _lag_sum, shared by
 l1_apply_fourier, _l1_convolve and _march_density.
 
+The accumulator works in the momentum basis.  With F the unitary DFT on
+the flattened grid (numpy's norm="ortho"), a dense kernel K is carried as
+its momentum kernel K̂ = F K F^* (_to_mom, inverse _to_x).  In this basis
+the free conjugation U(t) K U(-t) is the Hadamard phase
+e^{-it|xi|^2} K̂(xi, eta) e^{+it|eta|^2}, and the commutator with the
+background is the gather F [V, gamma_f] F^* = V̂(xi - eta) (f(eta) - f(xi)) / h^d
+with V̂ = fftn(v) / N and the difference xi - eta wrapped per axis, so
+neither needs a kernel-sized FFT.  Schatten norms are unitarily invariant and
+are read from K̂ directly; densities are the diagonals of x-space kernels.
+The RK4 oracle stays in x-space as the independent reference.
+
 Dense kernels are used for the nonlinear solver (guarded by grid size);
 the linear-response path works frame-by-frame in frequency and scales to
 finer grids.
@@ -24,6 +35,7 @@ finer grids.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +51,7 @@ from .linop import (
     DenseOperator,
     LowRankOperator,
     _commutator_kernel,
+    _difference_index,
     _displacement_kernel,
     _freq_reflect,
     _kernel_left_mult,
@@ -175,13 +188,26 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
 # dense-kernel helpers (raw arrays, flattened row-major grid)
 
 
-def _kernel_free_conj(K: np.ndarray, grid: Grid, t: float, xi2=None) -> np.ndarray:
-    """U(t) K U(-t) on a raw dense kernel."""
-    if xi2 is None:
-        xi2 = grid.xi_squared()
-    sym = np.exp(-1j * t * xi2)
-    out = _kernel_left_mult(sym, K, grid)
-    return _kernel_right_mult(np.conj(sym), out, grid)
+def _to_mom(K: np.ndarray, grid: Grid) -> np.ndarray:
+    """Momentum kernel F K F^* of an x-space kernel, F the unitary DFT."""
+    d, N = grid.d, grid.npoints
+    A = np.fft.fftn(K.reshape(grid.shape * 2), axes=tuple(range(d)), norm="ortho")
+    return np.fft.ifftn(A, axes=tuple(range(d, 2 * d)), norm="ortho").reshape(N, N)
+
+
+def _to_x(K: np.ndarray, grid: Grid) -> np.ndarray:
+    """x-space kernel F^* K F of a momentum kernel, the inverse of _to_mom."""
+    d, N = grid.d, grid.npoints
+    A = np.fft.ifftn(K.reshape(grid.shape * 2), axes=tuple(range(d)), norm="ortho")
+    return np.fft.fftn(A, axes=tuple(range(d, 2 * d)), norm="ortho").reshape(N, N)
+
+
+def _kernel_free_conj(K: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+    """U(t) K U(-t) on a momentum kernel: a(xi) K(xi, eta) conj(a(eta)), a = e^{-it|xi|^2}."""
+    a = np.exp(-1j * t * grid.xi_squared()).reshape(-1)
+    out = a[:, None] * K
+    out *= np.conj(a)[None, :]
+    return out
 
 
 def _kernel_s2(K: np.ndarray, grid: Grid) -> float:
@@ -223,6 +249,26 @@ def _kernel_potential(bg: BackgroundState, K: np.ndarray) -> np.ndarray:
     return _flat_potential(bg, np.diagonal(K).reshape(bg.grid.shape))
 
 
+def _background_commutator(bg: BackgroundState, potential):
+    """commutator(k): the momentum kernel of [v_k, gamma_f], v_k = potential(k).
+
+    potential(k) is a real potential flattened like a kernel index.  In the
+    momentum basis the commutator is V̂_k(xi - eta) (f(eta) - f(xi)) / h^d
+    with V̂_k = fftn(v_k) / N: one gather through the wrapped frequency
+    differences, no kernel-sized FFT.
+    """
+    g = bg.grid
+    idx = _difference_index(g)
+    f = bg.f.symbol.real.reshape(-1)
+    weight = (f[None, :] - f[:, None]) / g.h**g.d
+
+    def commutator(k):
+        vhat = np.fft.fftn(potential(k).reshape(g.shape)).reshape(-1) / g.npoints
+        return vhat[idx] * weight
+
+    return commutator
+
+
 # ---------------------------------------------------------------------------
 # Duhamel term
 
@@ -230,24 +276,25 @@ def _kernel_potential(bg: BackgroundState, K: np.ndarray) -> np.ndarray:
 def _duhamel_accumulate(grid: Grid, times: np.ndarray, steps, commutator):
     """Yield (k, t_k, W_k), W_k = -i int_0^{t_k} U(-tau) C(tau) U(tau) dtau.
 
-    The one dense interaction-picture accumulator: C(t_k) = commutator(k) is
-    a dense kernel, and the integral is the trapezoid rule with step
-    ``steps[k - 1]`` on [t_{k-1}, t_k] (an array, or one scalar for all
-    steps).  Pass the step the caller's time grid was built with: for
-    ``dt * arange`` grids that is ``dt``, whose last bit can differ from
-    ``t_k - t_{k-1}``.  Each W_k is a new array, never written to later, so
-    callers may keep it.  With C = [V, A], U(t_k) W_k U(-t_k) is the Duhamel
-    term D_V[A](t_k).
+    The one dense interaction-picture accumulator, in the momentum basis:
+    C(t_k) = commutator(k) is a momentum kernel, and so is each W_k.  The
+    integral is the trapezoid rule with step ``steps[k - 1]`` on
+    [t_{k-1}, t_k] (an array, or one scalar for all steps).  Pass the step
+    the caller's time grid was built with: for ``dt * arange`` grids that is
+    ``dt``, whose last bit can differ from ``t_k - t_{k-1}``.  Each W_k is a
+    new array, never written to later, so callers may keep it.  With
+    C = [V, A], U(t_k) W_k U(-t_k) is the momentum kernel of the Duhamel term
+    D_V[A](t_k).
     """
     steps = np.broadcast_to(steps, (len(times) - 1,))
-    xi2 = grid.xi_squared()
     W = np.zeros((grid.npoints, grid.npoints), dtype=complex)
     Fprev = None
     for k, t in enumerate(times):
-        Fk = -1j * _kernel_free_conj(commutator(k), grid, -t, xi2)
+        Fk = _kernel_free_conj(commutator(k), grid, -t)
         if k > 0:
-            step = steps[k - 1]
-            W = W + (step / 2) * (Fprev + Fk)
+            Fprev += Fk  # Fprev is not used after this step, so it holds the increment
+            Fprev *= -0.5j * steps[k - 1]
+            W = W + Fprev
         Fprev = Fk
         yield k, t, W
 
@@ -327,13 +374,19 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
 
     if grid.npoints > _DENSE_GUARD:
         raise ValueError(f"dense Duhamel path needs npoints <= {_DENSE_GUARD}")
-    kf = gamma_f_kernel(A) if isinstance(A, BackgroundState) else None
 
-    def commutator(k):
-        Kk = kf if kf is not None else to_dense(_frame_at(A, k)).kernel
-        return _commutator_kernel(np.real(V.frames[k].values).reshape(-1), Kk)
+    def potential(k):
+        return np.real(V.frames[k].values).reshape(-1)
 
-    return [DenseOperator(grid, _kernel_free_conj(W, grid, t, xi2) if k else np.zeros_like(W))
+    if isinstance(A, BackgroundState):
+        commutator = _background_commutator(A, potential)
+    else:
+        def commutator(k):
+            return _to_mom(_commutator_kernel(potential(k), to_dense(_frame_at(A, k)).kernel),
+                           grid)
+
+    return [DenseOperator(grid, _to_x(_kernel_free_conj(W, grid, t), grid) if k
+                          else np.zeros_like(W))
             for k, t, W in _duhamel_accumulate(grid, times, np.diff(times), commutator)]
 
 
@@ -363,7 +416,6 @@ class HartreeRun:
     times: np.ndarray
     Q_frames: list
     rho_frames: list
-    V_frames: list
     T: float
     dt: float
     contraction_history: list
@@ -416,12 +468,34 @@ def _data_norm(bg: BackgroundState, rho_traj: Trajectory, scheme: str) -> float:
 
 
 def _uniform_times(T: float, dt: float) -> np.ndarray:
+    for name, value in (("T", T), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     K = int(round(T / dt))
     if abs(K * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be an integer multiple of dt")
     if K < 4:
         raise ValueError("need at least 4 time steps")
     return dt * np.arange(K + 1)
+
+
+def _check_frame_memory(grid: Grid, n_frames: int):
+    """Refuse a Picard solve whose three N x N frame stacks exceed physical memory.
+
+    The stacks are the free flow, the iterate and the next iterate.  Hosts
+    without os.sysconf (or without these names) are not checked.
+    """
+    need = 3 * n_frames * grid.npoints**2 * np.dtype(complex).itemsize
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ValueError(
+            f"picard_solve would hold about {need / 1e9:.1f} GB ({n_frames} frames of "
+            f"{grid.npoints}x{grid.npoints} kernels, 3 stacks), more than the "
+            f"{have / 1e9:.1f} GB of physical memory; shorten T or enlarge dt"
+        )
 
 
 def picard_solve(
@@ -450,17 +524,18 @@ def picard_solve(
     K0 = to_dense(Q0).kernel
     if np.linalg.norm(K0 - np.conj(K0).T) > 1e-8 * max(np.linalg.norm(K0), 1e-300):
         raise ValueError("initial data must be self-adjoint")
+    K0hat = _to_mom(K0, g)
     kf = gamma_f_kernel(bg)
-    xi2 = g.xi_squared()
 
-    def commutator(k):  # [V, Q + gamma_f] on the current sweep's iterate Q
-        return _commutator_kernel(_kernel_potential(bg, Q[k]), Q[k] + kf)
+    def commutator(k):  # [V, Q + gamma_f] on the current sweep's x-space iterate Q
+        return _to_mom(_commutator_kernel(_kernel_potential(bg, Q[k]), Q[k] + kf), g)
 
     T = float(T_target)
     for halving in range(max_halvings + 1):
         times = _uniform_times(T, dt)
         nfr = len(times)
-        free = [_kernel_free_conj(K0, g, t, xi2) for t in times]
+        _check_frame_memory(g, nfr)
+        free = [_to_x(_kernel_free_conj(K0hat, g, t), g) for t in times]
         rho_free = Trajectory(times, [Field(g, np.real(np.diagonal(Kt).reshape(g.shape)))
                                       for Kt in free])
         data_norm = _data_norm(bg, rho_free, scheme)
@@ -472,7 +547,7 @@ def picard_solve(
         converged = False
         failed = False
         for sweep in range(max_sweeps):
-            Qnew = [_kernel_free_conj(K0 + W, g, t, xi2)
+            Qnew = [_to_x(_kernel_free_conj(K0hat + W, g, t), g)
                     for k, t, W in _duhamel_accumulate(g, times, dt, commutator)]
             delta = max(_kernel_s2(Qnew[k] - Q[k], g) for k in range(nfr))
             rho_delta = Trajectory(
@@ -494,11 +569,9 @@ def picard_solve(
                 break
         if converged:
             rho_frames = [Field(g, np.real(np.diagonal(Kt).reshape(g.shape))) for Kt in Q]
-            V_frames = [_potential_field(bg, r.values) for r in rho_frames]
             return HartreeRun(
-                times=times, Q_frames=Q, rho_frames=rho_frames, V_frames=V_frames,
-                T=T, dt=dt, contraction_history=history, R=R,
-                data_norm=data_norm, scheme=scheme,
+                times=times, Q_frames=Q, rho_frames=rho_frames, T=T, dt=dt,
+                contraction_history=history, R=R, data_norm=data_norm, scheme=scheme,
                 meta={"halvings": halving, "sweeps": len(history)},
             )
         if failed or not converged:
@@ -535,10 +608,9 @@ def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun
             raise RuntimeError("oracle diverged")
         frames.append(K.copy())
     rho_frames = [Field(g, np.real(np.diagonal(Kt).reshape(g.shape))) for Kt in frames]
-    V_frames = [_potential_field(bg, r.values) for r in rho_frames]
     return HartreeRun(
-        times=times, Q_frames=frames, rho_frames=rho_frames, V_frames=V_frames,
-        T=T, dt=dt, contraction_history=[], R=0.0, data_norm=0.0, scheme="rk4",
+        times=times, Q_frames=frames, rho_frames=rho_frames, T=T, dt=dt,
+        contraction_history=[], R=0.0, data_norm=0.0, scheme="rk4",
         meta={"integrator": "rk4"},
     )
 
@@ -570,15 +642,11 @@ def l1_apply_direct(gtr: Trajectory, bg: BackgroundState) -> Trajectory:
     g = bg.grid
     if g.npoints > _DENSE_GUARD:
         raise ValueError(f"direct L1 needs npoints <= {_DENSE_GUARD}")
-    kf = gamma_f_kernel(bg)
-    xi2 = g.xi_squared()
     times = gtr.times
+    commutator = _background_commutator(bg, lambda k: _flat_potential(bg, gtr.frames[k].values))
 
-    def commutator(k):
-        return _commutator_kernel(_flat_potential(bg, gtr.frames[k].values), kf)
-
-    # L1[g] = -rho(D_{w*g}[gamma_f]); only each frame's diagonal is kept.
-    out = [Field(g, -np.diagonal(_kernel_free_conj(W, g, t, xi2)).reshape(g.shape) if k
+    # L1[g] = -rho(D_{w*g}[gamma_f]); only each frame's x-space diagonal is kept.
+    out = [Field(g, -np.diagonal(_to_x(_kernel_free_conj(W, g, t), g)).reshape(g.shape) if k
                  else np.zeros(g.shape))
            for k, t, W in _duhamel_accumulate(g, times, np.diff(times), commutator)]
     return Trajectory(times, out)
@@ -762,9 +830,9 @@ def linearized_solve(
 ) -> LinearizedRun:
     """Global solve of the linearized flow via (1 + L1)^{-1} time-marching."""
     g = bg.grid
+    times = _uniform_times(T, dt)
     if c0 is None:
         c0 = calibrate_l1_constant(bg).c0
-    times = _uniform_times(T, dt)
     src_traj = density_trajectory(Q0, times)
     source_hat = np.stack([np.fft.fftn(np.real(fr.values)) for fr in src_traj.frames])
     rho_hat = _march_density(bg, times, source_hat, c0)
@@ -775,14 +843,10 @@ def linearized_solve(
 
     Q_frames = None
     if reconstruct and g.npoints <= _DENSE_GUARD:
-        kf = gamma_f_kernel(bg)
-        xi2 = g.xi_squared()
-        K0 = to_dense(Q0).kernel
-
-        def commutator(k):
-            return _commutator_kernel(_flat_potential(bg, rho_frames[k].values), kf)
-
-        Q_frames = [_kernel_free_conj(K0 + W, g, t, xi2)
+        K0hat = _to_mom(to_dense(Q0).kernel, g)
+        commutator = _background_commutator(
+            bg, lambda k: _flat_potential(bg, rho_frames[k].values))
+        Q_frames = [_to_x(_kernel_free_conj(K0hat + W, g, t), g)
                     for k, t, W in _duhamel_accumulate(g, times, dt, commutator)]
     return LinearizedRun(
         times=times, rho_frames=rho_frames, source_frames=list(src_traj.frames),
@@ -824,11 +888,11 @@ def scattering_diagnostic(
         alpha_sc = 2.0 * g.d / (g.d - 1.0)
     if g.npoints > _DENSE_GUARD:
         raise ValueError(f"scattering diagnostic needs npoints <= {_DENSE_GUARD}")
+    times = _uniform_times(T, dt)
     if c0 is None:
         zero_bg = (np.max(np.abs(bg.f.symbol)) == 0) or (np.max(np.abs(bg.w_hat.symbol)) == 0)
         c0 = 0.0 if zero_bg else calibrate_l1_constant(bg).c0
 
-    times = _uniform_times(T, dt)
     src_traj = density_trajectory(Q0, times)
     source_hat = np.stack([np.fft.fftn(np.real(fr.values)) for fr in src_traj.frames])
     rho_hat = _march_density(bg, times, source_hat, c0)
@@ -837,11 +901,8 @@ def scattering_diagnostic(
     ladder = np.array([T / 2 ** (n_rungs - i) for i in range(1, n_rungs + 1)])
     idx = [_times_index(times, t) for t in ladder]
 
-    kf = gamma_f_kernel(bg)
-
-    def commutator(k):
-        return _commutator_kernel(_flat_potential(bg, rho_frames[k]), kf)
-
+    # Snapshots stay momentum kernels: the S^alpha distances are unitarily invariant.
+    commutator = _background_commutator(bg, lambda k: _flat_potential(bg, rho_frames[k]))
     snapshots = [W for k, _, W in _duhamel_accumulate(g, times, dt, commutator) if k in idx]
     dists = np.array([
         schatten_norm(DenseOperator(g, snapshots[i + 1] - snapshots[i]), alpha_sc).value

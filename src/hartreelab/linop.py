@@ -272,17 +272,21 @@ def commutator_potential(V: Field, A) -> DenseOperator:
     return DenseOperator(A.grid, _commutator_kernel(V.values.reshape(-1), to_dense(A).kernel))
 
 
+def _difference_index(grid: Grid) -> np.ndarray:
+    """N x N flat indices of i - j over the flattened grid, wrapped per axis.
+
+    ``a.reshape(-1)[_difference_index(grid)]`` is the matrix a(i - j) of an
+    array a on the grid: a displacement kernel in space, a convolution
+    (circulant) matrix in frequency.
+    """
+    coords = np.indices(grid.shape).reshape(grid.d, grid.npoints)
+    diff = [(c[:, None] - c[None, :]) % grid.n for c in coords]
+    return np.ravel_multi_index(diff, grid.shape)
+
+
 def _displacement_kernel(m: FourierMultiplier) -> np.ndarray:
     """N x N matrix k_m(x - y) from the multiplier's real-space kernel."""
-    g = m.grid
-    k = m.real_space_kernel()
-    idx1 = np.arange(g.n)
-    diff = (idx1[:, None] - idx1[None, :]) % g.n
-    if g.d == 1:
-        return k[diff]
-    coords = np.indices(g.shape).reshape(g.d, g.npoints)
-    d = [(coords[a][:, None] - coords[a][None, :]) % g.n for a in range(g.d)]
-    return k[tuple(d)]
+    return m.real_space_kernel().reshape(-1)[_difference_index(m.grid)]
 
 
 def multiplier_to_dense(m: FourierMultiplier) -> DenseOperator:

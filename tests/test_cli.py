@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hartreelab.cli import run
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SINGULAR_CONFIG = """\
 [grid]
@@ -179,3 +182,49 @@ def test_report_recomputes_slopes_consistently(tmp_path):
     assert len(rows) == 1
     assert abs(float(rows[0]["slope"]) - float(rows[0]["slope_recomputed"])) < 1e-12
     assert run(["report", str(tmp_path / "missing.json")]) == 1
+
+
+HARTREE_CONFIG = """\
+[grid]
+d = 2
+n = {n}
+L = 8.0
+
+[initial]
+kind = random
+rank = 2
+seed = 0
+
+[run]
+t = {t}
+dt = {dt}
+"""
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "hartreelab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("action", ["solve", "linearized", "scatter"])
+@pytest.mark.parametrize("key, value", [("t", "inf"), ("t", "nan"), ("dt", "0"),
+                                        ("dt", "-1e-3"), ("dt", "nan")])
+def test_bad_time_grid_is_a_validation_error(tmp_path, action, key, value):
+    grid = {"n": 8, "t": 0.1, "dt": 0.01}
+    grid[key] = value
+    cfg = _write(tmp_path / "bad.config", HARTREE_CONFIG.format(**grid))
+    res = _cli("hartree", action, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stdout + res.stderr
+    assert res.stderr.startswith("error:") and f"got {float(value)}" in res.stderr
+
+
+def test_picard_refuses_a_solve_larger_than_memory(tmp_path):
+    # 3 stacks x 10001 frames x 1024^2 complex entries: about 500 GB
+    cfg = _write(tmp_path / "huge.config", HARTREE_CONFIG.format(n=32, t=10.0, dt=1e-3))
+    res = _cli("hartree", "solve", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stdout + res.stderr
+    assert res.stderr.startswith("error:") and "503.4 GB" in res.stderr

@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartreelab.cli import _background_from_config, _get, _initial_operator, _load_config
 from hartreelab.grid import Field, convolve_potential, make_grid
 from hartreelab.hartree import (
+    _background_commutator,
+    _kernel_free_conj,
+    _to_mom,
+    _to_x,
     background_density,
     calibrate_l1_constant,
     dense_rk4_oracle,
@@ -26,6 +32,7 @@ from hartreelab.hartree import (
 from hartreelab.linop import (
     DenseOperator,
     LowRankOperator,
+    _commutator_kernel,
     conjugate_free,
     density,
     localized_low_rank,
@@ -367,3 +374,56 @@ def test_randomized_lwp_pipeline_records():
     # counter-based draws: rerunning reproduces the records exactly
     again = randomized_lwp_pipeline(Q0, "singular", bg, "d1", 0.5, fam, 0.05, 1e-3, n_draws=3)
     assert recs == again
+
+
+# The dense Duhamel engine carries kernels in the momentum basis K^ = F K F^*;
+# these properties tie each momentum-side operation to its x-space form.
+_BASIS_GRIDS = {1: make_grid(1, 16, 10.0), 2: make_grid(2, 8, 6.0), 3: make_grid(3, 8, 6.0)}
+_dims = st.sampled_from(sorted(_BASIS_GRIDS))
+_seeds = st.integers(0, 2**32 - 1)
+_basis_settings = settings(max_examples=12, deadline=None)
+
+
+def _random_kernel(g, seed):
+    rng = np.random.default_rng(seed)
+    shape = (g.npoints, g.npoints)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@_basis_settings
+@given(d=_dims, seed=_seeds)
+def test_momentum_basis_round_trip(d, seed):
+    g = _BASIS_GRIDS[d]
+    K = _random_kernel(g, seed)
+    assert np.linalg.norm(_to_x(_to_mom(K, g), g) - K) <= 1e-13 * np.linalg.norm(K)
+
+
+@_basis_settings
+@given(d=_dims, seed=_seeds, t=st.floats(-3.0, 3.0))
+def test_momentum_free_conjugation_is_a_phase(d, seed, t):
+    g = _BASIS_GRIDS[d]
+    K = _random_kernel(g, seed)
+    want = _to_mom(conjugate_free(DenseOperator(g, K), t).kernel, g)
+    got = _kernel_free_conj(_to_mom(K, g), g, t)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@_basis_settings
+@given(d=_dims, seed=_seeds, f=st.sampled_from(["gaussian", "fermi-sea"]))
+def test_background_commutator_is_a_gather(d, seed, f):
+    g = _BASIS_GRIDS[d]
+    bg = make_background(g, f, "gaussian")
+    v = np.random.default_rng(seed).standard_normal(g.npoints)
+    got = _background_commutator(bg, lambda k: v)(0)
+    want = _to_mom(_commutator_kernel(v, gamma_f_kernel(bg)), g)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@_basis_settings
+@given(d=_dims, seed=_seeds, alpha=st.sampled_from([2.0, 4.0, np.inf]))
+def test_schatten_norm_is_basis_independent(d, seed, alpha):
+    g = _BASIS_GRIDS[d]
+    K = _random_kernel(g, seed)
+    x_side = schatten_norm(DenseOperator(g, K), alpha).value
+    mom_side = schatten_norm(DenseOperator(g, _to_mom(K, g)), alpha).value
+    assert mom_side == pytest.approx(x_side, rel=1e-12)
