@@ -185,10 +185,12 @@ def _write_record(out_dir: str, command: str, config: dict, seed, outputs: list,
     }
     if extra:
         rec.update(extra)
+    # Strict JSON, serialised before the file is opened: a NaN that got past validation
+    # fails the run (exit 1) and leaves no half-written record.
+    text = json.dumps(rec, indent=2, sort_keys=True, allow_nan=False)
     path = os.path.join(out_dir, "record.json")
     with open(path, "w") as fh:
-        json.dump(rec, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -245,8 +247,6 @@ def _cmd_strichartz(args) -> int:
     n = _get(cp, "grid", "n", int, required=True)
     L = _get(cp, "grid", "L", float, required=True)
     M = _get(cp, "experiment", "m", int, required=True)
-    if M < 1:
-        raise ValidationError("ensemble size M must be >= 1")
     orders = _get(cp, "experiment", "orders", _orders, required=True)
     T = _get(cp, "experiment", "t", float, default=0.5)
     n_frames = _get(cp, "experiment", "n_frames", int, default=17)

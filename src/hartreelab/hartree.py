@@ -56,7 +56,10 @@ from .linop import (
     _freq_reflect,
     _kernel_left_mult,
     _kernel_right_mult,
+    add,
+    conjugate_free,
     recompress,
+    scale,
     schatten_norm,
     to_dense,
 )
@@ -323,13 +326,10 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
     """
     times = V.times
     grid = V.frames[0].grid
-    xi2 = grid.xi_squared()
 
     lowrank = isinstance(_frame_at(A, 0), LowRankOperator) and not isinstance(A, BackgroundState)
-    out = []
     if lowrank:
-        spatial = tuple(range(1, grid.d + 1))
-        Fprev = None
+        out = []
         W = LowRankOperator(grid, np.zeros(0), np.zeros((0,) + grid.shape),
                             np.zeros((0,) + grid.shape))
         rank0 = max(1, _frame_at(A, 0).rank)
@@ -343,32 +343,12 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
                 np.concatenate([v[None] * Q.left, Q.left]),
                 np.concatenate([Q.right, v[None] * Q.right]),
             )
-            ph = np.exp(1j * t * xi2)[None]
-            lt = np.fft.ifftn(ph * np.fft.fftn(C.left, axes=spatial), axes=spatial)
-            rt = np.fft.ifftn(ph * np.fft.fftn(C.right, axes=spatial), axes=spatial)
-            Fk = LowRankOperator(grid, -1j * C.coeffs, lt, rt)
-            if k == 0:
-                out.append(LowRankOperator(grid, np.zeros(0), np.zeros((0,) + grid.shape),
-                                           np.zeros((0,) + grid.shape)))
-            else:
+            Fk = scale(conjugate_free(C, -t), -1j)
+            if k:
                 dt = times[k] - times[k - 1]
-                inc = LowRankOperator(
-                    grid,
-                    np.concatenate([Fprev.coeffs * (dt / 2), Fk.coeffs * (dt / 2)]),
-                    np.concatenate([Fprev.left, Fk.left]),
-                    np.concatenate([Fprev.right, Fk.right]),
-                )
-                stacked = LowRankOperator(
-                    grid,
-                    np.concatenate([W.coeffs, inc.coeffs]) if W.rank else inc.coeffs,
-                    np.concatenate([W.left, inc.left]) if W.rank else inc.left,
-                    np.concatenate([W.right, inc.right]) if W.rank else inc.right,
-                )
-                W = recompress(stacked, tol=1e-12, max_rank=8 * rank0)
-                ph = np.exp(-1j * t * xi2)[None]
-                lt = np.fft.ifftn(ph * np.fft.fftn(W.left, axes=spatial), axes=spatial)
-                rt = np.fft.ifftn(ph * np.fft.fftn(W.right, axes=spatial), axes=spatial)
-                out.append(LowRankOperator(grid, W.coeffs.copy(), lt, rt))
+                W = recompress(add(W, add(scale(Fprev, dt / 2), scale(Fk, dt / 2))),
+                               tol=1e-12, max_rank=8 * rank0)
+            out.append(conjugate_free(W, t))
             Fprev = Fk
         return out
 
@@ -394,13 +374,7 @@ def duhamel_term(V: Trajectory, A, t: float, bg: BackgroundState | None = None):
     """The Duhamel integral at one time t of the trajectory grid."""
     k = _times_index(V.times, t)
     # Only the prefix [0, t] matters; truncate to keep the cost linear in k.
-    Vcut = Trajectory(V.times[: k + 1], V.frames[: k + 1]) if k >= 1 else None
-    if k == 0:
-        grid = V.frames[0].grid
-        if isinstance(_frame_at(A, 0), LowRankOperator) and not isinstance(A, BackgroundState):
-            return LowRankOperator(grid, np.zeros(0), np.zeros((0,) + grid.shape),
-                                   np.zeros((0,) + grid.shape))
-        return DenseOperator(grid, np.zeros((grid.npoints, grid.npoints)))
+    Vcut = Trajectory(V.times[: k + 1], V.frames[: k + 1])
     Acut = A[: k + 1] if isinstance(A, (list, tuple)) else A
     return duhamel_series(Vcut, Acut, bg)[k]
 
@@ -480,12 +454,13 @@ def _uniform_times(T: float, dt: float) -> np.ndarray:
 
 
 def _check_frame_memory(grid: Grid, n_frames: int):
-    """Refuse a Picard solve whose three N x N frame stacks exceed physical memory.
+    """Refuse a Picard solve whose two N x N frame stacks exceed physical memory.
 
-    The stacks are the free flow, the iterate and the next iterate.  Hosts
-    without os.sysconf (or without these names) are not checked.
+    The stacks are the iterate (the free flow before the first sweep) and the
+    next iterate.  Hosts without os.sysconf (or without these names) are not
+    checked.
     """
-    need = 3 * n_frames * grid.npoints**2 * np.dtype(complex).itemsize
+    need = 2 * n_frames * grid.npoints**2 * np.dtype(complex).itemsize
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -493,7 +468,7 @@ def _check_frame_memory(grid: Grid, n_frames: int):
     if need > have:
         raise ValueError(
             f"picard_solve would hold about {need / 1e9:.1f} GB ({n_frames} frames of "
-            f"{grid.npoints}x{grid.npoints} kernels, 3 stacks), more than the "
+            f"{grid.npoints}x{grid.npoints} kernels, 2 stacks), more than the "
             f"{have / 1e9:.1f} GB of physical memory; shorten T or enlarge dt"
         )
 
@@ -535,14 +510,14 @@ def picard_solve(
         times = _uniform_times(T, dt)
         nfr = len(times)
         _check_frame_memory(g, nfr)
-        free = [_to_x(_kernel_free_conj(K0hat, g, t), g) for t in times]
+        # the first iterate is the free flow U(t) Q0 U(-t)
+        Q = [_to_x(_kernel_free_conj(K0hat, g, t), g) for t in times]
         rho_free = Trajectory(times, [Field(g, np.real(np.diagonal(Kt).reshape(g.shape)))
-                                      for Kt in free])
+                                      for Kt in Q])
         data_norm = _data_norm(bg, rho_free, scheme)
         q0_s2 = _kernel_s2(K0, g)
         R = 2.0 * (q0_s2 + data_norm)
 
-        Q = [Kt.copy() for Kt in free]
         history = []
         converged = False
         failed = False
@@ -727,6 +702,12 @@ def calibrate_l1_constant(
     residual bounds the relative mismatch after the fit and the fit aborts
     if it exceeds max_residual (inconsistent conventions).
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if n_frames < 2:
+        raise ValueError(f"n_frames must be >= 2, got {n_frames}")
+    if n_probes < 1:
+        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     g = bg.grid
     times = dt * np.arange(n_frames)
     rng = np.random.default_rng(seed)
@@ -792,6 +773,8 @@ def _lag_sum(G: np.ndarray, x_hat: np.ndarray, k: int, dt: float) -> np.ndarray:
 def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarray,
                    c0: float) -> np.ndarray:
     """Causal solve of (1 + L1) rho = source in frequency; returns rho_hat."""
+    if not math.isfinite(c0):
+        raise ValueError(f"c0 must be finite, got {c0}")
     K = len(times)
     dt = float(times[1] - times[0])
     G = _l1_kernel_stack(bg, K, dt)

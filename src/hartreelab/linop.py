@@ -246,7 +246,12 @@ def sobolev_schatten_norm(A, s: float, alpha: float) -> SchattenReport:
 
 
 def conjugate_free(A, t: float):
-    """U(t) A U(t)^*, representation preserving."""
+    """U(t) A U(t)^*, representation preserving.
+
+    The one free flow for both representations: a low-rank operator has its
+    factor stacks propagated, a dense one its kernel conjugated, so callers
+    that evolve an operator freely do not transform its factors themselves.
+    """
     return _conjugate_multiplier(A, free_propagator(A.grid, t))
 
 
@@ -399,6 +404,11 @@ def hermitian_defect(A) -> float:
     return schatten_norm(diff, 2).value / nrm
 
 
+def _check_rank(grid: Grid, rank: int):
+    if not 1 <= rank <= grid.npoints:
+        raise ValueError(f"rank must be between 1 and {grid.npoints}, got {rank}")
+
+
 def random_low_rank(
     grid: Grid,
     rank: int,
@@ -412,6 +422,7 @@ def random_low_rank(
     Factors are frequency-localized gaussian draws, smoothed by the envelope
     (1+|xi|^2)^{-freq_decay/2} so Sobolev conjugations stay well conditioned.
     """
+    _check_rank(grid, rank)
     env = (1.0 + grid.xi_squared()) ** (-freq_decay / 2.0)
     w = np.sqrt(grid.h**grid.d)
 
@@ -448,6 +459,7 @@ def localized_low_rank(
     the delocalized draws of random_low_rank).  Factor families are
     orthonormalized in the weighted inner product.
     """
+    _check_rank(grid, rank)
     xm = grid.x_mesh()
     env = np.exp(-sum(x**2 for x in xm) / (2 * width**2))
     monomials = [np.ones(grid.shape)]

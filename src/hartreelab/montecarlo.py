@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -23,12 +24,15 @@ from .exponents import full_estimate_check, singular_estimate_exponents
 from .grid import Field, bessel_multiplier, make_grid
 from .linop import (
     LowRankOperator,
+    _apply_multiplier_stack,
     _conjugate_multiplier,
+    add,
+    conjugate_free,
     random_low_rank,
     recompress,
     schatten_norm,
 )
-from .norms import MomentTable, lebesgue_norm, trapezoid_weights
+from .norms import MomentTable, Trajectory, mixed_norm, trapezoid_weights
 from .randomize import PartitionOfUnity, SubgaussianFamily, sample_coefficients
 
 __all__ = [
@@ -102,6 +106,16 @@ def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q) 
     return np.sum(weights[None, :] * s**p, axis=1) ** (1.0 / p)
 
 
+def _check_ensemble(M: int, T: float, orders):
+    """Input checks shared by the three moment experiments."""
+    if M < 1:
+        raise ValueError("ensemble size M must be >= 1")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"time window T must be finite and positive, got {T}")
+    if len(orders) == 0:
+        raise ValueError("moment orders must be non-empty, got []")
+
+
 def singular_moment_experiment(
     d: int,
     n: int,
@@ -125,9 +139,8 @@ def singular_moment_experiment(
     The draw-independent mode densities are precomputed once, so each draw
     costs one small tensor contraction.
     """
+    _check_ensemble(M, T, orders)
     singular_estimate_exponents(p, q, Fraction(sigma).limit_denominator(10**6), d)
-    if M < 1:
-        raise ValueError("ensemble size M must be >= 1")
     grid = make_grid(d, n, L)
     if operator is None:
         op_rng = np.random.default_rng(np.random.SeedSequence(entropy=op_seed, spawn_key=(0xA0,)))
@@ -140,19 +153,12 @@ def singular_moment_experiment(
     B = _conjugate_multiplier(A, bessel_multiplier(grid, -sigma)) if sigma != 0 else A
 
     times = np.linspace(0.0, T, n_frames)
-    axes = tuple(range(1, d + 1))
-    lhat = np.fft.fftn(B.left, axes=axes)
-    rhat = np.fft.fftn(B.right, axes=axes)
-    xi2 = grid.xi_squared()
-    bsym = bessel_multiplier(grid, sigma).symbol if sigma != 0 else None
     modes = np.empty((A.rank, n_frames) + grid.shape, dtype=complex)
     for k, t in enumerate(times):
-        ph = np.exp(-1j * t * xi2)[None]
-        lt = np.fft.ifftn(ph * lhat, axes=axes)
-        rt = np.fft.ifftn(ph * rhat, axes=axes)
-        e = lt * np.conj(rt)
-        if bsym is not None:
-            e = np.fft.ifftn(bsym[None] * np.fft.fftn(e, axes=axes), axes=axes)
+        Bt = conjugate_free(B, t)
+        e = Bt.left * np.conj(Bt.right)
+        if sigma != 0:
+            e = _apply_multiplier_stack(bessel_multiplier(grid, sigma), e, grid)
         modes[:, k] = e
 
     w = trapezoid_weights(times)
@@ -198,9 +204,8 @@ def full_moment_experiment(
     Each draw reweights both factor sides by one shared random frequency
     multiplier and the singular values by independent coefficient draws.
     """
+    _check_ensemble(M, T, orders)
     full_estimate_check(p, q, q_hat, min(float(r) for r in orders), d)
-    if M < 1:
-        raise ValueError("ensemble size M must be >= 1")
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
     if operator is None:
@@ -268,14 +273,13 @@ def function_moment_experiment(
     f: Field | None = None,
 ) -> MomentTable:
     """Moments of ||U(t) f^omega||_{L^p_t L^{q_hat}_x} under Wiener randomization."""
+    _check_ensemble(M, T, orders)
     if not strichartz_admissible(p, q, d):
         raise ValueError("(p, q) is not a Strichartz-admissible pair")
     if q_hat < q:
         raise ValueError("q_hat must be >= q")
     if min(float(r) for r in orders) < max(p, q_hat):
         raise ValueError("moment orders must be >= max(p, q_hat)")
-    if M < 1:
-        raise ValueError("ensemble size M must be >= 1")
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
     if f is None:
@@ -371,7 +375,6 @@ def key_estimate_probe(
     grid = make_grid(d, n, L)
     times = np.linspace(0.0, T, n_steps + 1)
     w = trapezoid_weights(times)
-    xi2 = grid.xi_squared()
     xmesh = grid.x_mesh()
     ratios = np.empty(n_instances)
     for inst in range(n_instances):
@@ -393,32 +396,15 @@ def key_estimate_probe(
                 )
             return Field(grid, vals)
 
+        V = Trajectory(times, [v_field(t) for t in times])
         psi = np.cos(om_q * times + th_q)
-        coeff_parts, left_parts, right_parts = [], [], []
-        spatial = tuple(range(1, d + 1))
-        for k, t in enumerate(times):
-            V = v_field(t)
-            # V Q0 keeps the rank: the potential multiplies the left factors.
-            vl = V.values[None] * Q0.left
-            ph = np.exp(1j * t * xi2)[None]
-            lt = np.fft.ifftn(ph * np.fft.fftn(vl, axes=spatial), axes=spatial)
-            rt = np.fft.ifftn(ph * np.fft.fftn(Q0.right, axes=spatial), axes=spatial)
-            coeff_parts.append(w[k] * psi[k] * Q0.coeffs)
-            left_parts.append(lt)
-            right_parts.append(rt)
-        I = LowRankOperator(
-            grid,
-            np.concatenate(coeff_parts),
-            np.concatenate(left_parts),
-            np.concatenate(right_parts),
-        )
+        # V Q0 keeps the rank: the potential multiplies the left factors.
+        I = reduce(add, (
+            conjugate_free(LowRankOperator(grid, w[k] * psi[k] * Q0.coeffs,
+                                           V.frames[k].values[None] * Q0.left, Q0.right), -t)
+            for k, t in enumerate(times)))
         lhs = schatten_norm(I, alpha).value
-        v_norms = np.array([lebesgue_norm(v_field(t), nu) for t in times])
-        if np.isinf(mu):
-            v_mixed = float(np.max(v_norms))
-        else:
-            v_mixed = float(np.sum(w * v_norms**mu) ** (1.0 / mu))
         q_sup = float(np.max(np.abs(psi))) * schatten_norm(Q0, alpha).value
-        denom = v_mixed * q_sup
+        denom = mixed_norm(V, mu, nu) * q_sup
         ratios[inst] = 0.0 if denom == 0 else lhs / denom
     return KeyEstimateResult(ratios=ratios, dt=float(times[1] - times[0]), mu=mu, nu=nu, alpha=alpha)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Field, Grid
-from .linop import LowRankOperator, conjugate_free, density
+from .linop import conjugate_free, density
 
 __all__ = [
     "Trajectory",
@@ -92,21 +92,7 @@ def mixed_norm(tr: Trajectory, p: float, q: float) -> float:
 def density_trajectory(A, times) -> Trajectory:
     """Frames rho(U(t) A U(-t)); low-rank operators propagate factors only."""
     times = np.asarray(times, dtype=float)
-    if isinstance(A, LowRankOperator) and A.rank:
-        g = A.grid
-        axes = tuple(range(1, g.d + 1))
-        lhat = np.fft.fftn(A.left, axes=axes)
-        rhat = np.fft.fftn(A.right, axes=axes)
-        xi2 = g.xi_squared()
-        frames = []
-        for t in times:
-            ph = np.exp(-1j * t * xi2)[None]
-            lt = np.fft.ifftn(ph * lhat, axes=axes)
-            rt = np.fft.ifftn(ph * rhat, axes=axes)
-            frames.append(Field(g, np.einsum("n,n...,n...->...", A.coeffs, lt, np.conj(rt))))
-        return Trajectory(times, frames)
-    frames = [density(conjugate_free(A, t)) for t in times]
-    return Trajectory(times, frames)
+    return Trajectory(times, [density(conjugate_free(A, t)) for t in times])
 
 
 def empirical_moment(

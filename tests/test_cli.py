@@ -1,4 +1,6 @@
+import configparser
 import csv
+import io
 import json
 import os
 import subprocess
@@ -222,9 +224,54 @@ def test_bad_time_grid_is_a_validation_error(tmp_path, action, key, value):
 
 
 def test_picard_refuses_a_solve_larger_than_memory(tmp_path):
-    # 3 stacks x 10001 frames x 1024^2 complex entries: about 500 GB
+    # 2 stacks x 10001 frames x 1024^2 complex entries: about 336 GB
     cfg = _write(tmp_path / "huge.config", HARTREE_CONFIG.format(n=32, t=10.0, dt=1e-3))
     res = _cli("hartree", "solve", "--config", cfg, "--out", str(tmp_path / "o"))
     assert res.returncode == 1
     assert "Traceback" not in res.stdout + res.stderr
-    assert res.stderr.startswith("error:") and "503.4 GB" in res.stderr
+    assert res.stderr.startswith("error:") and "335.6 GB" in res.stderr
+
+
+def _with(base: str, overrides: dict) -> str:
+    """Config text ``base`` with each ``(section, key): value`` of ``overrides`` set."""
+    cp = configparser.ConfigParser()
+    cp.read_string(base)
+    for (section, key), value in overrides.items():
+        cp.set(section, key, value)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
+
+
+_SMALL_HARTREE = HARTREE_CONFIG.format(n=8, t=0.1, dt=0.01)
+
+# (command, config overrides, text the error line must contain)
+_BAD_INPUTS = [
+    ("hartree linearized", {("run", "c0"): "nan"}, "c0 must be finite, got nan"),
+    ("hartree linearized", {("run", "c0"): "inf"}, "c0 must be finite, got inf"),
+    ("hartree scatter", {("run", "c0"): "nan"}, "c0 must be finite, got nan"),
+    ("strichartz singular", {("experiment", "t"): "nan"}, "T must be finite and positive, got nan"),
+    ("strichartz singular", {("experiment", "t"): "-1"}, "T must be finite and positive, got -1.0"),
+    ("strichartz singular", {("experiment", "t"): "0"}, "T must be finite and positive, got 0.0"),
+    ("strichartz singular", {("experiment", "orders"): ""}, "moment orders must be non-empty"),
+    ("calibrate-l1", {("run", "n_frames"): "1"}, "n_frames must be >= 2, got 1"),
+    ("calibrate-l1", {("run", "dt"): "0"}, "dt must be finite and positive, got 0.0"),
+    ("calibrate-l1", {("run", "dt"): "nan"}, "dt must be finite and positive, got nan"),
+    ("calibrate-l1", {("run", "n_probes"): "0"}, "n_probes must be >= 1, got 0"),
+    ("hartree linearized", {("initial", "rank"): "0"}, "rank must be between 1 and 64, got 0"),
+    ("hartree linearized", {("initial", "rank"): "100"}, "rank must be between 1 and 64, got 100"),
+    ("hartree linearized", {("initial", "kind"): "localized", ("initial", "rank"): "100"},
+     "rank must be between 1 and 64, got 100"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, named", _BAD_INPUTS,
+    ids=[f"{c}-{','.join(f'{k}={v}' for (_, k), v in o.items())}" for c, o, _ in _BAD_INPUTS])
+def test_bad_input_is_a_validation_error(tmp_path, command, overrides, named):
+    base = SINGULAR_CONFIG if command.startswith("strichartz") else _SMALL_HARTREE
+    cfg = _write(tmp_path / "bad.config", _with(base, overrides))
+    res = _cli(*command.split(), "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stdout + res.stderr
+    assert res.stderr.startswith("error:") and named in res.stderr

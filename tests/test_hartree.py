@@ -109,19 +109,6 @@ def test_duhamel_small_time_quadratic_commutator_scaling():
     assert 3.7 < ratio < 4.3
 
 
-def test_duhamel_lowrank_matches_dense_path():
-    g = make_grid(1, 32, 16.0)
-    Q = _small_data(g)
-    times = np.linspace(0.0, 0.1, 9)
-    v = np.cos(2 * np.pi * g.x_axis / g.L)
-    V = Trajectory(times, [Field(g, np.cos(3.0 * t) * v) for t in times])
-    low = duhamel_series(V, Q)
-    dense = duhamel_series(V, to_dense(Q))
-    for a, b in zip(low, dense):
-        diff = to_dense(a).kernel - b.kernel
-        assert np.max(np.abs(diff)) < 1e-10
-
-
 def test_picard_matches_rk4_oracle():
     g = make_grid(1, 32, 20.0)
     bg = make_background(g, "gaussian", "delta", f_scale=0.5)
@@ -427,3 +414,23 @@ def test_schatten_norm_is_basis_independent(d, seed, alpha):
     x_side = schatten_norm(DenseOperator(g, K), alpha).value
     mom_side = schatten_norm(DenseOperator(g, _to_mom(K, g)), alpha).value
     assert mom_side == pytest.approx(x_side, rel=1e-12)
+
+
+@_basis_settings
+@given(d=_dims, seed=_seeds, omega=st.floats(0.0, 5.0))
+def test_duhamel_lowrank_matches_dense_path(d, seed, omega):
+    g = _BASIS_GRIDS[d]
+    Q = _small_data(g, seed=seed)
+    # a few random plane-wave modes, modulated in time
+    rng = np.random.default_rng(seed)
+    k = rng.integers(-2, 3, size=(3, d)) * (2 * np.pi / g.L)
+    amp, phase = rng.standard_normal(3), rng.uniform(0.0, 2 * np.pi, 3)
+    xm = g.x_mesh()
+    v = sum(amp[j] * np.cos(sum(k[j, a] * xm[a] for a in range(d)) + phase[j]) for j in range(3))
+    times = np.linspace(0.0, 0.1, 9)
+    V = Trajectory(times, [Field(g, np.cos(omega * t) * v) for t in times])
+    low = duhamel_series(V, Q)
+    dense = duhamel_series(V, to_dense(Q))
+    for a, b in zip(low, dense):
+        diff = to_dense(a).kernel - b.kernel
+        assert np.max(np.abs(diff)) < 1e-10

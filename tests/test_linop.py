@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartreelab.grid import Field, bessel_multiplier, identity_multiplier, make_grid
 from hartreelab.linop import (
@@ -26,6 +28,7 @@ from hartreelab.linop import (
     to_dense,
     trace,
 )
+from hartreelab.norms import density_trajectory
 
 ALPHAS = (1.0, 4.0 / 3.0, 1.5, 2.0, 4.0, np.inf)
 
@@ -227,3 +230,45 @@ def test_zero_operator_edge_cases():
     assert schatten_norm(Z, 2).value == 0.0
     assert trace(Z) == 0.0
     assert np.all(density(Z).values == 0)
+
+
+# conjugate_free is the one free flow of both representations; these
+# properties tie its low-rank form to its dense form.
+_GRIDS = {1: make_grid(1, 16, 10.0), 2: make_grid(2, 8, 6.0), 3: make_grid(3, 8, 6.0)}
+_dims = st.sampled_from(sorted(_GRIDS))
+_seeds = st.integers(0, 2**32 - 1)
+_property_settings = settings(max_examples=12, deadline=None)
+
+
+@_property_settings
+@given(d=_dims, seed=_seeds, t=st.floats(-3.0, 3.0))
+def test_lowrank_free_flow_matches_dense(d, seed, t):
+    g = _GRIDS[d]
+    A = random_low_rank(g, 3, np.random.default_rng(seed))
+    got = to_dense(conjugate_free(A, t)).kernel
+    want = conjugate_free(to_dense(A), t).kernel
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@_property_settings
+@given(d=_dims, seed=_seeds)
+def test_lowrank_density_trajectory_matches_dense(d, seed):
+    g = _GRIDS[d]
+    A = random_low_rank(g, 3, np.random.default_rng(seed))
+    times = np.linspace(0.0, 0.5, 5)
+    got = np.stack([f.values for f in density_trajectory(A, times).frames])
+    want = np.stack([f.values for f in density_trajectory(to_dense(A), times).frames])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@_property_settings
+@given(d=_dims, seed=_seeds, tol=st.floats(1e-8, 0.5))
+def test_recompress_error_is_within_tolerance(d, seed, tol):
+    g = _GRIDS[d]
+    rng = np.random.default_rng(seed)
+    # a sum of two families is not in singular-value form, so the core SVD has work to do
+    A = add(random_low_rank(g, 4, rng, coeffs=np.logspace(0, -6, 4)),
+            random_low_rank(g, 3, rng, coeffs=rng.uniform(0.0, 1e-2, 3)))
+    R = recompress(A, tol)
+    err = schatten_norm(add(A, scale(R, -1.0)), 2).value
+    assert err <= (tol + 1e-12) * schatten_norm(A, 2).value

@@ -143,6 +143,8 @@ def test_full_experiment_validates_exponents():
         full_moment_experiment(2, 16, 8.0, 3, 2.0, 3.0, 4.0, fam, fam, M=5, orders=[4.0])
     with pytest.raises(ValueError):
         full_moment_experiment(2, 16, 8.0, 3, 2.0, 2.0, 4.0, fam, fam, M=5, orders=[3.0])
+    with pytest.raises(ValueError, match="orders must be non-empty"):
+        full_moment_experiment(2, 16, 8.0, 3, 2.0, 2.0, 4.0, fam, fam, M=5, orders=[])
 
 
 def test_function_experiment_runs_and_validates():
@@ -157,6 +159,8 @@ def test_function_experiment_runs_and_validates():
         function_moment_experiment(1, 32, 16.0, 6.0, 3.0, 6.0, fam, M=5, orders=[8.0])
     with pytest.raises(ValueError):
         function_moment_experiment(1, 32, 16.0, 6.0, 6.0, 6.0, fam, M=5, orders=[4.0])
+    with pytest.raises(ValueError, match="got -1.0"):
+        function_moment_experiment(1, 32, 16.0, 6.0, 6.0, 6.0, fam, M=5, orders=[8.0], T=-1.0)
 
 
 def test_key_probe_bounded_and_refinement_stable():
