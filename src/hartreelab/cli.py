@@ -354,7 +354,7 @@ def _cmd_hartree(args) -> int:
 
     if args.action == "linearized":
         c0 = _get(cp, "run", "c0", float, default=None)
-        lin = linearized_solve(Q0, bg, T, dt, c0=c0, reconstruct=False)
+        lin = linearized_solve(Q0, bg, T, dt, c0=c0)
         traj_path = os.path.join(out_dir, "density.csv")
         rows = [[repr(float(t)), repr(float(lebesgue_norm(r, 2)))]
                 + _provenance(grid, dt, T, seed)

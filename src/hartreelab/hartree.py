@@ -10,11 +10,10 @@ operator, diagonal in the spatial frequency of the density.
 Both halves rest on one object, the interaction-picture Duhamel integral
 D_V[A](t) = -i int_0^t U(t-tau) [V(tau), A(tau)] U(tau-t) dtau.  Every dense
 evaluation of it goes through the one accumulator _duhamel_accumulate: the
-Picard map, duhamel_series, the reconstruction of Q(t) in linearized_solve,
-the wave operator W(t) = U(-t) Q(t) U(t) of scattering_diagnostic, and the
-direct response L1[g] = -rho(D_{w*g}[gamma_f]) of l1_apply_direct.  The
-frequency-domain L1 is one causal lag sum, _lag_sum, shared by
-l1_apply_fourier, _l1_convolve and _march_density.
+Picard map, duhamel_series, the wave operator W(t) = U(-t) Q(t) U(t) of
+scattering_diagnostic, and the direct response L1[g] = -rho(D_{w*g}[gamma_f])
+of l1_apply_direct.  The frequency-domain L1 is one causal lag sum, _lag_sum,
+shared by l1_apply_fourier, _l1_convolve and _march_density.
 
 The accumulator works in the momentum basis.  With F the unitary DFT on
 the flattened grid (numpy's norm="ortho"), a dense kernel K is carried as
@@ -27,9 +26,10 @@ neither needs a kernel-sized FFT.  Schatten norms are unitarily invariant and
 are read from K̂ directly; densities are the diagonals of x-space kernels.
 The RK4 oracle stays in x-space as the independent reference.
 
-Dense kernels are used for the nonlinear solver (guarded by grid size);
-the linear-response path works frame-by-frame in frequency and scales to
-finer grids.
+Each dense path (the nonlinear solver, the oracle, the direct L1, scattering)
+first counts the N x N kernels it will hold and refuses a problem whose
+estimate exceeds physical memory (_check_memory).  The linear-response path
+works frame-by-frame in frequency and scales to finer grids.
 """
 
 from __future__ import annotations
@@ -88,8 +88,6 @@ __all__ = [
     "randomized_lwp_pipeline",
 ]
 
-_DENSE_GUARD = 2048
-
 
 @dataclass
 class BackgroundState:
@@ -131,6 +129,9 @@ def make_background(
         raise ValueError(f"f must be one of {_F_CHOICES}")
     if w not in _W_CHOICES:
         raise ValueError(f"w must be one of {_W_CHOICES}")
+    for name, value in (("f_scale", f_scale), ("w_scale", w_scale)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     xi2 = grid.xi_squared()
     if f == "gaussian":
         fs = f_scale * np.exp(-xi2)
@@ -155,9 +156,8 @@ def background_density(bg: BackgroundState) -> float:
 
 
 def gamma_f_kernel(bg: BackgroundState) -> np.ndarray:
-    """Dense kernel k_f(x - y) of gamma_f (guarded by grid size)."""
-    if bg.grid.npoints > _DENSE_GUARD:
-        raise ValueError(f"dense gamma_f needs npoints <= {_DENSE_GUARD}")
+    """Dense kernel k_f(x - y) of gamma_f (refused if it exceeds physical memory)."""
+    _check_memory(bg.grid, 2, "gamma_f_kernel")
     return _displacement_kernel(bg.f)
 
 
@@ -189,6 +189,31 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
 
 # ---------------------------------------------------------------------------
 # dense-kernel helpers (raw arrays, flattened row-major grid)
+
+
+# N x N kernels a _duhamel_accumulate pass holds besides its caller's frames
+# (integral, integrands, commutator gather and weights, basis change).
+_ACCUMULATOR_KERNELS = 7
+
+
+def _check_memory(grid: Grid, n_kernels: int, what: str):
+    """Refuse, before it allocates, a dense path holding n_kernels N x N kernels.
+
+    The one size rule for dense kernels: a ValueError names the estimate when it
+    exceeds physical memory.  Hosts without these os.sysconf names are not checked.
+    """
+    N = grid.npoints
+    need = n_kernels * N**2 * np.dtype(complex).itemsize
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ValueError(
+            f"{what} would hold about {need / 1e9:.1f} GB ({n_kernels} dense {N}x{N} "
+            f"kernels), more than the {have / 1e9:.1f} GB of physical memory; "
+            "use a coarser grid or fewer time steps"
+        )
 
 
 def _to_mom(K: np.ndarray, grid: Grid) -> np.ndarray:
@@ -322,7 +347,7 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
     a list of operators aligned with V.times, or a BackgroundState (meaning
     the fixed gamma_f).  Low-rank inputs stay low-rank (the commutator
     doubles the rank per node and the running integral is recompressed);
-    everything else goes through dense kernels.
+    everything else goes through dense kernels, after _check_memory.
     """
     times = V.times
     grid = V.frames[0].grid
@@ -352,8 +377,7 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
             Fprev = Fk
         return out
 
-    if grid.npoints > _DENSE_GUARD:
-        raise ValueError(f"dense Duhamel path needs npoints <= {_DENSE_GUARD}")
+    _check_memory(grid, len(times) + _ACCUMULATOR_KERNELS, "duhamel_series")
 
     def potential(k):
         return np.real(V.frames[k].values).reshape(-1)
@@ -441,36 +465,20 @@ def _data_norm(bg: BackgroundState, rho_traj: Trajectory, scheme: str) -> float:
     return float(np.sqrt(np.sum(w * vals**2)))
 
 
+def _check_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _uniform_times(T: float, dt: float) -> np.ndarray:
-    for name, value in (("T", T), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _check_positive("T", T)
+    _check_positive("dt", dt)
     K = int(round(T / dt))
     if abs(K * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be an integer multiple of dt")
     if K < 4:
         raise ValueError("need at least 4 time steps")
     return dt * np.arange(K + 1)
-
-
-def _check_frame_memory(grid: Grid, n_frames: int):
-    """Refuse a Picard solve whose two N x N frame stacks exceed physical memory.
-
-    The stacks are the iterate (the free flow before the first sweep) and the
-    next iterate.  Hosts without os.sysconf (or without these names) are not
-    checked.
-    """
-    need = 2 * n_frames * grid.npoints**2 * np.dtype(complex).itemsize
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    if need > have:
-        raise ValueError(
-            f"picard_solve would hold about {need / 1e9:.1f} GB ({n_frames} frames of "
-            f"{grid.npoints}x{grid.npoints} kernels, 2 stacks), more than the "
-            f"{have / 1e9:.1f} GB of physical memory; shorten T or enlarge dt"
-        )
 
 
 def picard_solve(
@@ -487,15 +495,17 @@ def picard_solve(
 
     Iterates Q <- U(t) Q0 U(-t) + D_V[Q] + D_V[gamma_f] with V = w * rho_Q
     regenerated each sweep; halves the window whenever the recorded deltas
-    stop contracting (ratio >= 0.9) and reports the achieved T.
+    stop contracting (ratio >= 0.9) and reports the achieved T.  A halved
+    window off the dt grid or under 4 steps means no contraction (RuntimeError).
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}")
+    _check_positive("tol", tol)
     g = bg.grid
-    if g.npoints > _DENSE_GUARD:
-        raise ValueError(f"picard_solve needs npoints <= {_DENSE_GUARD}")
-    if g.d == 3 and g.n > 12:
-        raise ValueError("d=3 dense solves are gated at n <= 12 per axis")
+    T = float(T_target)
+    times = _uniform_times(T, dt)
+    # the iterate and the next iterate, frame by frame; halving only shrinks them
+    _check_memory(g, 2 * len(times), "picard_solve")
     K0 = to_dense(Q0).kernel
     if np.linalg.norm(K0 - np.conj(K0).T) > 1e-8 * max(np.linalg.norm(K0), 1e-300):
         raise ValueError("initial data must be self-adjoint")
@@ -505,11 +515,8 @@ def picard_solve(
     def commutator(k):  # [V, Q + gamma_f] on the current sweep's x-space iterate Q
         return _to_mom(_commutator_kernel(_kernel_potential(bg, Q[k]), Q[k] + kf), g)
 
-    T = float(T_target)
     for halving in range(max_halvings + 1):
-        times = _uniform_times(T, dt)
         nfr = len(times)
-        _check_frame_memory(g, nfr)
         # the first iterate is the free flow U(t) Q0 U(-t)
         Q = [_to_x(_kernel_free_conj(K0hat, g, t), g) for t in times]
         rho_free = Trajectory(times, [Field(g, np.real(np.diagonal(Kt).reshape(g.shape)))
@@ -520,7 +527,6 @@ def picard_solve(
 
         history = []
         converged = False
-        failed = False
         for sweep in range(max_sweeps):
             Qnew = [_to_x(_kernel_free_conj(K0hat + W, g, t), g)
                     for k, t, W in _duhamel_accumulate(g, times, dt, commutator)]
@@ -534,13 +540,11 @@ def picard_solve(
             history.append(delta)
             Q = Qnew
             if not np.isfinite(delta):
-                failed = True
                 break
             if delta <= tol * max(1.0, R):
                 converged = True
                 break
             if len(history) >= 2 and history[-1] >= 0.9 * history[-2]:
-                failed = True
                 break
         if converged:
             rho_frames = [Field(g, np.real(np.diagonal(Kt).reshape(g.shape))) for Kt in Q]
@@ -549,20 +553,20 @@ def picard_solve(
                 contraction_history=history, R=R, data_norm=data_norm, scheme=scheme,
                 meta={"halvings": halving, "sweeps": len(history)},
             )
-        if failed or not converged:
-            T = T / 2.0
-            if T < 4 * dt:
-                raise RuntimeError("no contraction at this resolution")
+        T = T / 2.0
+        try:
+            times = _uniform_times(T, dt)
+        except ValueError:  # the halved window is off the dt grid or under 4 steps
+            raise RuntimeError("no contraction at this resolution") from None
     raise RuntimeError("no contraction at this resolution")
 
 
 def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun:
     """Classical 4th-order time stepping on the dense kernel (reference path)."""
     g = bg.grid
-    if g.npoints > _DENSE_GUARD:
-        raise ValueError(f"dense oracle needs npoints <= {_DENSE_GUARD}")
-    if g.d == 3 and g.n > 12:
-        raise ValueError("d=3 dense solves are gated at n <= 12 per axis")
+    times = _uniform_times(T, dt)
+    # every frame, plus gamma_f, the state, four stages and the rhs temporaries
+    _check_memory(g, len(times) + 10, "dense_rk4_oracle")
     kf = gamma_f_kernel(bg)
     xi2 = g.xi_squared()
 
@@ -570,7 +574,6 @@ def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun
         lap = _kernel_left_mult(xi2, K, g) - _kernel_right_mult(xi2, K, g)
         return -1j * (lap + _commutator_kernel(_kernel_potential(bg, K), K + kf))
 
-    times = _uniform_times(T, dt)
     K = to_dense(Q0).kernel.copy()
     frames = [K.copy()]
     for _ in range(len(times) - 1):
@@ -615,8 +618,7 @@ def spectrum_drift(run: HartreeRun, bg: BackgroundState) -> float:
 def l1_apply_direct(gtr: Trajectory, bg: BackgroundState) -> Trajectory:
     """L1[g](t) = rho( i int_0^t U(t-tau) [w*g(tau), gamma_f] U(tau-t) dtau )."""
     g = bg.grid
-    if g.npoints > _DENSE_GUARD:
-        raise ValueError(f"direct L1 needs npoints <= {_DENSE_GUARD}")
+    _check_memory(g, _ACCUMULATOR_KERNELS, "l1_apply_direct")
     times = gtr.times
     commutator = _background_commutator(bg, lambda k: _flat_potential(bg, gtr.frames[k].values))
 
@@ -702,8 +704,7 @@ def calibrate_l1_constant(
     residual bounds the relative mismatch after the fit and the fit aborts
     if it exceeds max_residual (inconsistent conventions).
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    _check_positive("dt", dt)
     if n_frames < 2:
         raise ValueError(f"n_frames must be >= 2, got {n_frames}")
     if n_probes < 1:
@@ -755,7 +756,6 @@ class LinearizedRun:
     source_frames: list
     residual: float
     c0: float
-    Q_frames: list | None = None
 
 
 def _lag_sum(G: np.ndarray, x_hat: np.ndarray, k: int, dt: float) -> np.ndarray:
@@ -809,9 +809,12 @@ def linearized_solve(
     T: float,
     dt: float,
     c0: float | None = None,
-    reconstruct: bool = True,
 ) -> LinearizedRun:
-    """Global solve of the linearized flow via (1 + L1)^{-1} time-marching."""
+    """Global solve of the linearized flow via (1 + L1)^{-1} time-marching.
+
+    Returns the density; Q(t_k) itself is conjugate_free(Q0, t_k) plus
+    duhamel_series(Trajectory(times, w * rho), bg)[k].
+    """
     g = bg.grid
     times = _uniform_times(T, dt)
     if c0 is None:
@@ -823,17 +826,9 @@ def linearized_solve(
     src_scale = float(np.linalg.norm(source_hat))
     residual = float(np.linalg.norm(resid) / src_scale) if src_scale > 0 else 0.0
     rho_frames = [Field(g, np.real(np.fft.ifftn(rho_hat[k]))) for k in range(len(times))]
-
-    Q_frames = None
-    if reconstruct and g.npoints <= _DENSE_GUARD:
-        K0hat = _to_mom(to_dense(Q0).kernel, g)
-        commutator = _background_commutator(
-            bg, lambda k: _flat_potential(bg, rho_frames[k].values))
-        Q_frames = [_to_x(_kernel_free_conj(K0hat + W, g, t), g)
-                    for k, t, W in _duhamel_accumulate(g, times, dt, commutator)]
     return LinearizedRun(
         times=times, rho_frames=rho_frames, source_frames=list(src_traj.frames),
-        residual=residual, c0=float(c0), Q_frames=Q_frames,
+        residual=residual, c0=float(c0),
     )
 
 
@@ -869,8 +864,7 @@ def scattering_diagnostic(
         if g.d == 1:
             raise ValueError("alpha_sc = 2d/(d-1) is undefined for d=1; pass it explicitly")
         alpha_sc = 2.0 * g.d / (g.d - 1.0)
-    if g.npoints > _DENSE_GUARD:
-        raise ValueError(f"scattering diagnostic needs npoints <= {_DENSE_GUARD}")
+    _check_memory(g, _ACCUMULATOR_KERNELS + n_rungs, "scattering_diagnostic")
     times = _uniform_times(T, dt)
     if c0 is None:
         zero_bg = (np.max(np.abs(bg.f.symbol)) == 0) or (np.max(np.abs(bg.w_hat.symbol)) == 0)

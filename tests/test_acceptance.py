@@ -329,10 +329,10 @@ def test_criterion_12_linearized_solve():
     A = random_low_rank(g, 3, rng, hermitian=True)
     Q0 = LowRankOperator(g, 0.05 * A.coeffs, A.left, A.right)
     run = linearized_solve(Q0, bg, 0.2, 0.01)
-    ref = linearized_solve(Q0, bg, 0.16, 0.002, reconstruct=False)
+    ref = linearized_solve(Q0, bg, 0.16, 0.002)
     errs = []
     for dt in (0.016, 0.008):
-        r = linearized_solve(Q0, bg, 0.16, dt, reconstruct=False)
+        r = linearized_solve(Q0, bg, 0.16, dt)
         errs.append(np.max(np.abs(r.rho_frames[-1].values - ref.rho_frames[-1].values)))
     order = float(np.log2(errs[0] / errs[1]))
     _line(12, run.residual <= 1e-8 and order >= 1.9,

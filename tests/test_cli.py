@@ -224,12 +224,26 @@ def test_bad_time_grid_is_a_validation_error(tmp_path, action, key, value):
 
 
 def test_picard_refuses_a_solve_larger_than_memory(tmp_path):
-    # 2 stacks x 10001 frames x 1024^2 complex entries: about 336 GB
-    cfg = _write(tmp_path / "huge.config", HARTREE_CONFIG.format(n=32, t=10.0, dt=1e-3))
-    res = _cli("hartree", "solve", "--config", cfg, "--out", str(tmp_path / "o"))
-    assert res.returncode == 1
+    # 10001 frames of 1024^2 complex entries: Picard holds 2 stacks (about 336 GB),
+    # the RK4 oracle 1 stack plus 10 working kernels (about 168 GB)
+    base = HARTREE_CONFIG.format(n=32, t=10.0, dt=1e-3)
+    for extra, estimate in (("", "335.6 GB"), ("oracle = yes\n", "168.0 GB")):
+        cfg = _write(tmp_path / "huge.config", base + extra)
+        res = _cli("hartree", "solve", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stdout + res.stderr
+        assert res.stderr.startswith("error:") and estimate in res.stderr
+
+
+def test_picard_halving_off_the_step_grid_exits_two(tmp_path):
+    # strong coupling halves T = 0.1 down to 0.0125, which is 12.5 steps of dt = 0.001
+    cfg = (DATA / "reference_d1_picard.config").read_text().replace(
+        "w_scale = 1.0", "w_scale = 4000.0")
+    path = _write(tmp_path / "halving.config", cfg)
+    res = _cli("hartree", "solve", "--config", path, "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
     assert "Traceback" not in res.stdout + res.stderr
-    assert res.stderr.startswith("error:") and "335.6 GB" in res.stderr
+    assert "no contraction at this resolution" in res.stderr
 
 
 def _with(base: str, overrides: dict) -> str:
@@ -237,6 +251,8 @@ def _with(base: str, overrides: dict) -> str:
     cp = configparser.ConfigParser()
     cp.read_string(base)
     for (section, key), value in overrides.items():
+        if not cp.has_section(section):
+            cp.add_section(section)
         cp.set(section, key, value)
     buf = io.StringIO()
     cp.write(buf)
@@ -262,6 +278,14 @@ _BAD_INPUTS = [
     ("hartree linearized", {("initial", "rank"): "100"}, "rank must be between 1 and 64, got 100"),
     ("hartree linearized", {("initial", "kind"): "localized", ("initial", "rank"): "100"},
      "rank must be between 1 and 64, got 100"),
+    ("hartree solve", {("run", "tol"): "nan"}, "tol must be finite and positive, got nan"),
+    ("hartree solve", {("run", "tol"): "0"}, "tol must be finite and positive, got 0.0"),
+    ("hartree solve", {("run", "tol"): "-1e-9"}, "tol must be finite and positive, got -1e-09"),
+    ("hartree solve", {("background", "f_scale"): "nan"}, "f_scale must be finite, got nan"),
+    ("hartree solve", {("background", "w_scale"): "nan"}, "w_scale must be finite, got nan"),
+    ("hartree solve", {("background", "w_scale"): "inf"}, "w_scale must be finite, got inf"),
+    ("hartree linearized", {("background", "f_scale"): "nan"}, "f_scale must be finite, got nan"),
+    ("hartree linearized", {("background", "w_scale"): "nan"}, "w_scale must be finite, got nan"),
 ]
 
 

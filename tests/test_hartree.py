@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -295,7 +296,14 @@ def test_linearized_solve_residual_and_consistency():
     Q0 = _small_data(g, rank=3, seed=5)
     run = linearized_solve(Q0, bg, 0.2, 0.01)
     assert run.residual <= 1e-8
-    assert run.Q_frames is not None
+    # Q(t) = U(t) Q0 U(-t) + D_{w*rho}[gamma_f](t) carries the solved density
+    # (largest gap seen: 2.2e-16 of max|rho|)
+    V = Trajectory(run.times, [Field(g, np.real(convolve_potential(bg.w_hat, rho).values))
+                               for rho in run.rho_frames])
+    rho_max = max(np.max(np.abs(rho.values)) for rho in run.rho_frames)
+    for t, rho, D in zip(run.times, run.rho_frames, duhamel_series(V, bg)):
+        rho_Q = density(conjugate_free(Q0, t)).values + density(D).values
+        assert np.max(np.abs(rho_Q - rho.values)) <= 1e-10 * rho_max
     # fixed-point cross-check: rho = source - L1[rho]
     rho_tr = Trajectory(run.times, run.rho_frames)
     L1rho = l1_apply_fourier(rho_tr, bg, run.c0)
@@ -308,13 +316,37 @@ def test_linearized_solve_converges_under_dt_refinement():
     g = make_grid(1, 32, 16.0)
     bg = make_background(g, "gaussian", "delta")
     Q0 = _small_data(g, rank=3, seed=6)
-    ref = linearized_solve(Q0, bg, 0.16, 0.002, reconstruct=False)
+    ref = linearized_solve(Q0, bg, 0.16, 0.002)
     errs = []
     for dt in (0.016, 0.008):
-        run = linearized_solve(Q0, bg, 0.16, dt, reconstruct=False)
+        run = linearized_solve(Q0, bg, 0.16, dt)
         errs.append(np.max(np.abs(run.rho_frames[-1].values - ref.rho_frames[-1].values)))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
+
+
+def test_dense_paths_refuse_a_problem_larger_than_memory(monkeypatch):
+    g = make_grid(1, 32, 16.0)
+    bg = make_background(g, "gaussian", "delta")
+    Q0 = _small_data(g, seed=8)
+    times = 0.01 * np.arange(5)
+    V = Trajectory(times, [Field(g, np.cos(t) * np.ones(g.shape)) for t in times])
+    dense_paths = [
+        lambda: gamma_f_kernel(bg),
+        lambda: duhamel_series(V, bg),
+        lambda: picard_solve(Q0, bg, 0.04, 0.01),
+        lambda: dense_rk4_oracle(Q0, bg, 0.04, 0.01),
+        lambda: l1_apply_direct(V, bg),
+        lambda: scattering_diagnostic(Q0, bg, 0.16, 0.01, c0=2.0, alpha_sc=4.0),
+        lambda: calibrate_l1_constant(bg),
+    ]
+    # a host with one page of physical memory
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.get)
+    for call in dense_paths:
+        with pytest.raises(ValueError, match=r"GB .* of physical memory"):
+            call()
+    # the frequency-domain linearized solve holds no dense kernel
+    assert linearized_solve(Q0, bg, 0.04, 0.01, c0=2.0).residual <= 1e-8
 
 
 def test_scattering_trivial_without_background():

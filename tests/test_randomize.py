@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartreelab.grid import Field, fourier_forward, make_grid
 from hartreelab.linop import random_low_rank, schatten_norm, to_dense
@@ -111,15 +113,26 @@ def test_degenerate_randomization_is_identity():
     assert np.max(np.abs(w.values - u.values)) < 1e-12
 
 
-def test_rademacher_preserves_hilbert_schmidt_norm():
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 2**16))
+def test_rademacher_preserves_hilbert_schmidt_norm(seed, stream):
+    # Randomization keeps the Schatten class, in every S^alpha and not only S^2:
+    # a Rademacher draw keeps the norm, a Gaussian one scales it by at most
+    # max|g|, and the full randomization R A^omega R by at most (sup|R|)^2 max|g|.
     g = make_grid(1, 32, 12.0)
-    rng = np.random.default_rng(3)
-    A = random_low_rank(g, 5, rng)
-    base = schatten_norm(A, 2).value
-    fam = SubgaussianFamily("rademacher", 9)
-    for m in range(5):
-        B = singular_value_randomize(A, fam, stream_id=m)
-        assert abs(schatten_norm(B, 2).value - base) < 1e-10 * base
+    A = random_low_rank(g, 5, np.random.default_rng(seed))  # singular-value form
+    pou = PartitionOfUnity(g)
+    fam_g, fam_l = SubgaussianFamily("gaussian", 11), SubgaussianFamily("gaussian", 13)
+    rademacher = singular_value_randomize(A, SubgaussianFamily("rademacher", 9), stream)
+    gaussian = singular_value_randomize(A, fam_g, stream)
+    full = full_randomize(A, fam_g, fam_l, pou, stream_g=stream, stream_ell=stream)
+    g_max = np.max(np.abs(sample_coefficients(fam_g, A.rank, stream)))
+    r_sup = np.max(np.abs(wiener_weight(fam_l, pou, stream).symbol))
+    for alpha in (1.0, 4.0 / 3.0, 2.0, 3.0, np.inf):
+        base = schatten_norm(A, alpha).value
+        assert schatten_norm(rademacher, alpha).value == pytest.approx(base, rel=1e-10)
+        assert schatten_norm(gaussian, alpha).value <= (1 + 1e-10) * g_max * base
+        assert schatten_norm(full, alpha).value <= (1 + 1e-10) * r_sup**2 * g_max * base
 
 
 def test_svd_form_is_enforced():
