@@ -15,6 +15,7 @@ operations are pure; operators are treated as immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,6 +187,30 @@ def schatten_norm(A, alpha: float) -> SchattenReport:
     return SchattenReport(alpha=alpha, value=_schatten_value(s, alpha), singular_values=s)
 
 
+# Rows of A^* A per matrix product in _kernel_schatten: 2 MB blocks at N = 1024.
+_GRAM_BLOCK = 128
+
+
+def _kernel_schatten(K: np.ndarray, grid: Grid, alpha: float) -> float:
+    """S^alpha norm of the operator with dense kernel K, the value only.
+
+    For alpha = 4 it uses ||A||_4^4 = ||A^* A||_F^2, which holds for any
+    matrix: A^* A is formed one block of rows at a time, so no N x N Gram
+    matrix is held, and since it is Hermitian only its upper block triangle
+    is formed, each off-diagonal block counted twice.  That is one matrix
+    product's work in place of an SVD.  Any other alpha takes the singular
+    values through schatten_norm.
+    """
+    if alpha != 4:
+        return schatten_norm(DenseOperator(grid, K), alpha).value
+    total = 0.0
+    for i in range(0, K.shape[1], _GRAM_BLOCK):
+        G = np.conj(K[:, i:i + _GRAM_BLOCK]).T @ K[:, i:]
+        diag, upper = G[:, :_GRAM_BLOCK], G[:, _GRAM_BLOCK:]
+        total += np.vdot(diag, diag).real + 2.0 * np.vdot(upper, upper).real
+    return float(grid.h**grid.d * total**0.25)
+
+
 def _apply_multiplier_stack(m: FourierMultiplier, stack: np.ndarray, grid: Grid) -> np.ndarray:
     axes = tuple(range(1, grid.d + 1))
     return np.fft.ifftn(m.symbol[None] * np.fft.fftn(stack, axes=axes), axes=axes)
@@ -277,16 +302,20 @@ def commutator_potential(V: Field, A) -> DenseOperator:
     return DenseOperator(A.grid, _commutator_kernel(V.values.reshape(-1), to_dense(A).kernel))
 
 
+@lru_cache(maxsize=1)
 def _difference_index(grid: Grid) -> np.ndarray:
     """N x N flat indices of i - j over the flattened grid, wrapped per axis.
 
     ``a.reshape(-1)[_difference_index(grid)]`` is the matrix a(i - j) of an
     array a on the grid: a displacement kernel in space, a convolution
-    (circulant) matrix in frequency.
+    (circulant) matrix in frequency.  The most recent grid's index is kept,
+    read-only, because one dense pass gathers through it several times.
     """
     coords = np.indices(grid.shape).reshape(grid.d, grid.npoints)
     diff = [(c[:, None] - c[None, :]) % grid.n for c in coords]
-    return np.ravel_multi_index(diff, grid.shape)
+    idx = np.ravel_multi_index(diff, grid.shape)
+    idx.flags.writeable = False
+    return idx
 
 
 def _displacement_kernel(m: FourierMultiplier) -> np.ndarray:

@@ -106,8 +106,15 @@ def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q) 
     return np.sum(weights[None, :] * s**p, axis=1) ** (1.0 / p)
 
 
-def _check_ensemble(M: int, T: float, orders):
-    """Input checks shared by the three moment experiments."""
+def _check_ensemble(M: int, T: float, orders, **exponents):
+    """Input checks shared by the three moment experiments.
+
+    ``exponents`` names the values that the exact exponent arithmetic
+    (fractions) needs finite.
+    """
+    for name, value in exponents.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if M < 1:
         raise ValueError("ensemble size M must be >= 1")
     if not (math.isfinite(T) and T > 0):
@@ -139,7 +146,7 @@ def singular_moment_experiment(
     The draw-independent mode densities are precomputed once, so each draw
     costs one small tensor contraction.
     """
-    _check_ensemble(M, T, orders)
+    _check_ensemble(M, T, orders, p=p, q=q, sigma=sigma)
     singular_estimate_exponents(p, q, Fraction(sigma).limit_denominator(10**6), d)
     grid = make_grid(d, n, L)
     if operator is None:
@@ -204,7 +211,7 @@ def full_moment_experiment(
     Each draw reweights both factor sides by one shared random frequency
     multiplier and the singular values by independent coefficient draws.
     """
-    _check_ensemble(M, T, orders)
+    _check_ensemble(M, T, orders, p=p, q=q, q_hat=q_hat)
     full_estimate_check(p, q, q_hat, min(float(r) for r in orders), d)
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)

@@ -224,10 +224,10 @@ def test_bad_time_grid_is_a_validation_error(tmp_path, action, key, value):
 
 
 def test_picard_refuses_a_solve_larger_than_memory(tmp_path):
-    # 10001 frames of 1024^2 complex entries: Picard holds 2 stacks (about 336 GB),
-    # the RK4 oracle 1 stack plus 10 working kernels (about 168 GB)
+    # 10001 frames of 1024^2 complex entries: Picard holds 2 stacks plus 8 working
+    # kernels (about 336 GB), the RK4 oracle 1 stack plus 10 working kernels (about 168 GB)
     base = HARTREE_CONFIG.format(n=32, t=10.0, dt=1e-3)
-    for extra, estimate in (("", "335.6 GB"), ("oracle = yes\n", "168.0 GB")):
+    for extra, estimate in (("", "335.7 GB"), ("oracle = yes\n", "168.0 GB")):
         cfg = _write(tmp_path / "huge.config", base + extra)
         res = _cli("hartree", "solve", "--config", cfg, "--out", str(tmp_path / "o"))
         assert res.returncode == 1
@@ -266,10 +266,22 @@ _BAD_INPUTS = [
     ("hartree linearized", {("run", "c0"): "nan"}, "c0 must be finite, got nan"),
     ("hartree linearized", {("run", "c0"): "inf"}, "c0 must be finite, got inf"),
     ("hartree scatter", {("run", "c0"): "nan"}, "c0 must be finite, got nan"),
+    ("hartree scatter", {("run", "alpha_sc"): "nan"}, "alpha_sc must be finite and >= 1, got nan"),
+    ("hartree scatter", {("run", "alpha_sc"): "inf"}, "alpha_sc must be finite and >= 1, got inf"),
+    ("hartree scatter", {("run", "alpha_sc"): "0.5"}, "alpha_sc must be finite and >= 1, got 0.5"),
+    ("hartree scatter", {("run", "n_rungs"): "-1"}, "n_rungs must be >= 3, got -1"),
+    ("hartree scatter", {("run", "n_rungs"): "0"}, "n_rungs must be >= 3, got 0"),
+    ("hartree scatter", {("run", "n_rungs"): "1"}, "n_rungs must be >= 3, got 1"),
+    ("hartree scatter", {("run", "n_rungs"): "2"}, "n_rungs must be >= 3, got 2"),
+    ("hartree scatter", {("run", "n_rungs"): "2000"}, "n_rungs = 2000 puts the first rung"),
     ("strichartz singular", {("experiment", "t"): "nan"}, "T must be finite and positive, got nan"),
     ("strichartz singular", {("experiment", "t"): "-1"}, "T must be finite and positive, got -1.0"),
     ("strichartz singular", {("experiment", "t"): "0"}, "T must be finite and positive, got 0.0"),
     ("strichartz singular", {("experiment", "orders"): ""}, "moment orders must be non-empty"),
+    ("strichartz singular", {("experiment", "p"): "inf"}, "p must be finite, got inf"),
+    ("strichartz singular", {("experiment", "q"): "inf"}, "q must be finite, got inf"),
+    ("strichartz singular", {("experiment", "sigma"): "inf"}, "sigma must be finite, got inf"),
+    ("strichartz singular", {("experiment", "sigma"): "nan"}, "sigma must be finite, got nan"),
     ("calibrate-l1", {("run", "n_frames"): "1"}, "n_frames must be >= 2, got 1"),
     ("calibrate-l1", {("run", "dt"): "0"}, "dt must be finite and positive, got 0.0"),
     ("calibrate-l1", {("run", "dt"): "nan"}, "dt must be finite and positive, got nan"),
@@ -299,3 +311,17 @@ def test_bad_input_is_a_validation_error(tmp_path, command, overrides, named):
     assert res.returncode == 1
     assert "Traceback" not in res.stdout + res.stderr
     assert res.stderr.startswith("error:") and named in res.stderr
+
+
+def test_scatter_at_d1_takes_alpha_from_the_config(tmp_path):
+    # 2d/(d-1) is undefined at d=1, so the exponent comes from [run] alpha_sc
+    cfg = _write(tmp_path / "d1.config", _with(
+        HARTREE_CONFIG.format(n=32, t=1.0, dt=0.0625),
+        {("grid", "d"): "1", ("grid", "L"): "16.0", ("run", "alpha_sc"): "4"}))
+    out = tmp_path / "o"
+    assert run(["hartree", "scatter", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "ladder.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["t"]) for r in rows] == [0.25, 0.5, 1.0]
+    assert all(float(r["distance"]) > 0 for r in rows)
+    assert json.loads((out / "record.json").read_text())["alpha"] == 4.0

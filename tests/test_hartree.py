@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hartreelab.cli import _background_from_config, _get, _initial_operator, _load_config
 from hartreelab.grid import Field, convolve_potential, make_grid
+from hartreelab import hartree
 from hartreelab.hartree import (
     _background_commutator,
     _kernel_free_conj,
@@ -34,6 +35,8 @@ from hartreelab.linop import (
     DenseOperator,
     LowRankOperator,
     _commutator_kernel,
+    _difference_index,
+    _kernel_schatten,
     conjugate_free,
     density,
     localized_low_rank,
@@ -466,3 +469,53 @@ def test_duhamel_lowrank_matches_dense_path(d, seed, omega):
     for a, b in zip(low, dense):
         diff = to_dense(a).kernel - b.kernel
         assert np.max(np.abs(diff)) < 1e-10
+
+
+# Row blocks of the Gram form are 128 rows, so N = 256 takes two of them.
+_GRAM_GRIDS = {1: make_grid(1, 256, 64.0), 2: make_grid(2, 16, 8.0)}
+
+
+@_basis_settings
+@given(d=st.sampled_from([1, 2]), seed=_seeds,
+       kind=st.sampled_from(["hermitian", "general", "rank-deficient"]))
+def test_gram_form_s4_norm_matches_the_svd(d, seed, kind):
+    g = _GRAM_GRIDS[d]
+    K = _random_kernel(g, seed)
+    if kind == "hermitian":
+        K = K + np.conj(K).T
+    elif kind == "rank-deficient":
+        K = K[:, :5] @ K[:5, :]
+    want = schatten_norm(DenseOperator(g, K), 4).value
+    assert _kernel_schatten(K, g, 4) == pytest.approx(want, rel=1e-12)
+    assert _kernel_schatten(np.zeros_like(K), g, 4) == 0.0
+
+
+@settings(max_examples=6, deadline=None)
+@given(d=st.sampled_from([1, 2]), seed=st.integers(0, 2**16), alpha=st.sampled_from([4.0, 3.0]))
+def test_streamed_ladder_matches_svds_of_kept_snapshots(d, seed, alpha):
+    g = {1: make_grid(1, 32, 16.0), 2: make_grid(2, 8, 8.0)}[d]
+    bg = make_background(g, "gaussian", "delta", f_scale=0.5)
+    Q0 = localized_low_rank(g, 2, np.random.default_rng(seed), width=1.0)
+    snapshots = {}
+    accumulate = hartree._duhamel_accumulate
+
+    def keep_every_step(grid, times, steps, commutator):
+        for k, t, W in accumulate(grid, times, steps, commutator):
+            snapshots[k] = W.copy()
+            yield k, t, W
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hartree, "_duhamel_accumulate", keep_every_step)
+        rep = scattering_diagnostic(Q0, bg, 1.0, 1.0 / 16, alpha_sc=alpha, c0=2.0)
+    rungs = [int(round(t * 16)) for t in rep.checkpoint_times]
+    want = [schatten_norm(DenseOperator(g, snapshots[b] - snapshots[a]), alpha).value
+            for a, b in zip(rungs, rungs[1:])]
+    assert np.all(np.asarray(want) > 0)
+    np.testing.assert_allclose(rep.distances, want, rtol=1e-12, atol=0.0)
+
+
+def test_calibrating_on_three_grids_keeps_one_memo_entry_each():
+    for n in (8, 16, 32):
+        calibrate_l1_constant(make_background(make_grid(1, n, 16.0), "gaussian", "delta"))
+    assert len(hartree._L1_CACHE) == 1
+    assert _difference_index.cache_info().currsize == 1
