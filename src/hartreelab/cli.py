@@ -370,8 +370,7 @@ def _cmd_hartree(args) -> int:
     if args.action == "scatter":
         c0 = _get(cp, "run", "c0", float, default=None)
         n_rungs = _get(cp, "run", "n_rungs", int, default=4)
-        alpha_sc = _get(cp, "run", "alpha_sc", float, default=None)
-        rep = scattering_diagnostic(Q0, bg, T, dt, alpha_sc=alpha_sc, c0=c0, n_rungs=n_rungs)
+        rep = scattering_diagnostic(Q0, bg, T, dt, c0=c0, n_rungs=n_rungs)
         ladder_path = os.path.join(out_dir, "ladder.csv")
         rows = [[repr(float(t)), repr(float(dist))] + _provenance(grid, dt, T, seed)
                 for t, dist in zip(rep.checkpoint_times[1:], rep.distances)]

@@ -646,7 +646,7 @@ def l1_apply_direct(gtr: Trajectory, bg: BackgroundState) -> Trajectory:
     return Trajectory(times, out)
 
 
-_L1_CACHE: dict = {}  # the most recent response-kernel stack only
+_L1_CACHE: dict = {}
 
 
 def _modeprod(A: np.ndarray, T: np.ndarray, d: int) -> np.ndarray:
@@ -689,7 +689,6 @@ def _l1_kernel_stack(bg: BackgroundState, n_frames: int, dt: float) -> np.ndarra
         S1 = _modeprod(A1, fsym, g.d)
         S2 = _modeprod(A2, fsym, g.d)
         G[m] = np.real(wsym * 0.5j * (S1 - S2)) / g.L**g.d
-    _L1_CACHE.clear()
     _L1_CACHE[key] = G
     return G
 
@@ -885,7 +884,7 @@ def scattering_diagnostic(
         raise ValueError(f"n_rungs must be >= 3, got {n_rungs}")
     if alpha_sc is None:
         if g.d == 1:
-            raise ValueError("alpha_sc = 2d/(d-1) is undefined for d=1; pass it explicitly")
+            raise ValueError("the scattering exponent 2d/(d-1) needs d >= 2, got d = 1")
         alpha_sc = 2.0 * g.d / (g.d - 1.0)
     if not (math.isfinite(alpha_sc) and alpha_sc >= 1):
         raise ValueError(f"alpha_sc must be finite and >= 1, got {alpha_sc}")
@@ -893,8 +892,9 @@ def scattering_diagnostic(
     if n_rungs - 1 > math.log2(len(times) - 1):
         raise ValueError(f"n_rungs = {n_rungs} puts the first rung T / 2^{n_rungs - 1} "
                          f"below dt = {dt}")
-    # the accumulator, the previous rung and the Gram blocks: tracemalloc measures
-    # 5.3 kernels at N = 1024 and 6.3 at N = 256, whatever n_rungs is
+    # the accumulator, the previous rung, and the Gram blocks or the SVD's copies:
+    # peak RSS over the call is 4.5 kernels at alpha = 4 (d=2, N = 1024), 5.5 and 6.1
+    # at alpha = 3 (d=2, N = 1024; d=3, N = 512), 7.0 in the implicit calibration
     _check_memory(g, _ACCUMULATOR_KERNELS, "scattering_diagnostic")
     if c0 is None:
         zero_bg = (np.max(np.abs(bg.f.symbol)) == 0) or (np.max(np.abs(bg.w_hat.symbol)) == 0)

@@ -15,7 +15,6 @@ operations are pure; operators are treated as immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -302,20 +301,16 @@ def commutator_potential(V: Field, A) -> DenseOperator:
     return DenseOperator(A.grid, _commutator_kernel(V.values.reshape(-1), to_dense(A).kernel))
 
 
-@lru_cache(maxsize=1)
 def _difference_index(grid: Grid) -> np.ndarray:
     """N x N flat indices of i - j over the flattened grid, wrapped per axis.
 
     ``a.reshape(-1)[_difference_index(grid)]`` is the matrix a(i - j) of an
     array a on the grid: a displacement kernel in space, a convolution
-    (circulant) matrix in frequency.  The most recent grid's index is kept,
-    read-only, because one dense pass gathers through it several times.
+    (circulant) matrix in frequency.
     """
     coords = np.indices(grid.shape).reshape(grid.d, grid.npoints)
     diff = [(c[:, None] - c[None, :]) % grid.n for c in coords]
-    idx = np.ravel_multi_index(diff, grid.shape)
-    idx.flags.writeable = False
-    return idx
+    return np.ravel_multi_index(diff, grid.shape)
 
 
 def _displacement_kernel(m: FourierMultiplier) -> np.ndarray:

@@ -266,9 +266,7 @@ _BAD_INPUTS = [
     ("hartree linearized", {("run", "c0"): "nan"}, "c0 must be finite, got nan"),
     ("hartree linearized", {("run", "c0"): "inf"}, "c0 must be finite, got inf"),
     ("hartree scatter", {("run", "c0"): "nan"}, "c0 must be finite, got nan"),
-    ("hartree scatter", {("run", "alpha_sc"): "nan"}, "alpha_sc must be finite and >= 1, got nan"),
-    ("hartree scatter", {("run", "alpha_sc"): "inf"}, "alpha_sc must be finite and >= 1, got inf"),
-    ("hartree scatter", {("run", "alpha_sc"): "0.5"}, "alpha_sc must be finite and >= 1, got 0.5"),
+    ("hartree scatter", {("grid", "d"): "1"}, "the scattering exponent 2d/(d-1) needs d >= 2, got d = 1"),
     ("hartree scatter", {("run", "n_rungs"): "-1"}, "n_rungs must be >= 3, got -1"),
     ("hartree scatter", {("run", "n_rungs"): "0"}, "n_rungs must be >= 3, got 0"),
     ("hartree scatter", {("run", "n_rungs"): "1"}, "n_rungs must be >= 3, got 1"),
@@ -312,16 +310,3 @@ def test_bad_input_is_a_validation_error(tmp_path, command, overrides, named):
     assert "Traceback" not in res.stdout + res.stderr
     assert res.stderr.startswith("error:") and named in res.stderr
 
-
-def test_scatter_at_d1_takes_alpha_from_the_config(tmp_path):
-    # 2d/(d-1) is undefined at d=1, so the exponent comes from [run] alpha_sc
-    cfg = _write(tmp_path / "d1.config", _with(
-        HARTREE_CONFIG.format(n=32, t=1.0, dt=0.0625),
-        {("grid", "d"): "1", ("grid", "L"): "16.0", ("run", "alpha_sc"): "4"}))
-    out = tmp_path / "o"
-    assert run(["hartree", "scatter", "--config", cfg, "--out", str(out)]) == 0
-    with open(out / "ladder.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [float(r["t"]) for r in rows] == [0.25, 0.5, 1.0]
-    assert all(float(r["distance"]) > 0 for r in rows)
-    assert json.loads((out / "record.json").read_text())["alpha"] == 4.0

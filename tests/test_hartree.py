@@ -35,7 +35,6 @@ from hartreelab.linop import (
     DenseOperator,
     LowRankOperator,
     _commutator_kernel,
-    _difference_index,
     _kernel_schatten,
     conjugate_free,
     density,
@@ -366,8 +365,17 @@ def test_scattering_requires_alpha_for_d1():
     g = make_grid(1, 32, 16.0)
     bg = make_background(g, "gaussian", "delta")
     Q0 = _small_data(g, rank=2, seed=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"needs d >= 2, got d = 1"):
         scattering_diagnostic(Q0, bg, 1.0, 1.0 / 16)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.5])
+def test_scattering_rejects_a_bad_exponent(alpha):
+    g = make_grid(2, 8, 8.0)
+    bg = make_background(g, "gaussian", "delta")
+    Q0 = _small_data(g, rank=2, seed=8)
+    with pytest.raises(ValueError, match=r"alpha_sc must be finite and >= 1"):
+        scattering_diagnostic(Q0, bg, 1.0, 1.0 / 16, alpha_sc=alpha, c0=2.0)
 
 
 def test_scattering_localized_data_disperses():
@@ -513,9 +521,3 @@ def test_streamed_ladder_matches_svds_of_kept_snapshots(d, seed, alpha):
     assert np.all(np.asarray(want) > 0)
     np.testing.assert_allclose(rep.distances, want, rtol=1e-12, atol=0.0)
 
-
-def test_calibrating_on_three_grids_keeps_one_memo_entry_each():
-    for n in (8, 16, 32):
-        calibrate_l1_constant(make_background(make_grid(1, n, 16.0), "gaussian", "delta"))
-    assert len(hartree._L1_CACHE) == 1
-    assert _difference_index.cache_info().currsize == 1
