@@ -72,11 +72,37 @@ class ValidationError(Exception):
 # config plumbing
 
 
+_FAMILY_KEYS = ("kind", "seed", "param")
+
+# Every [section] key that some command reads through _get, lower case as
+# configparser stores it.  The table is shared by all commands, so one config
+# serves several of them (the Picard config's scheme is unread by linearized).
+_CONFIG_KEYS = {
+    "grid": ("d", "n", "l"),
+    "experiment": ("m", "orders", "t", "n_frames", "p", "q", "q_hat", "rank", "sigma", "op_seed"),
+    "randomization": _FAMILY_KEYS,
+    "randomization_g": _FAMILY_KEYS,
+    "randomization_ell": _FAMILY_KEYS,
+    "background": ("f", "w", "f_scale", "w_scale"),
+    "initial": ("kind", "rank", "seed", "width"),
+    "run": ("t", "dt", "scheme", "tol", "oracle", "c0", "n_rungs", "n_frames", "n_probes",
+            "seed"),
+}
+
+
 def _load_config(path: str) -> configparser.ConfigParser:
+    """Parse a config; a key that no command reads (a typo) is a validation error."""
     if not os.path.exists(path):
         raise ValidationError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
-    cp.read(path)
+    try:
+        cp.read(path)
+    except configparser.Error as e:
+        raise ValidationError(f"malformed config {path}: {e}") from e
+    unknown = [f"[{s}] {k}" for s in cp.sections() for k in cp.options(s)
+               if k not in _CONFIG_KEYS.get(s, ())]
+    if unknown:
+        raise ValidationError(f"unknown config key {', '.join(unknown)}: no command reads it")
     return cp
 
 
@@ -85,6 +111,8 @@ def _cfg_dict(cp: configparser.ConfigParser) -> dict:
 
 
 def _get(cp, section, key, cast, default=None, required=False):
+    if key.lower() not in _CONFIG_KEYS[section]:
+        raise KeyError(f"[{section}] {key} is read but missing from _CONFIG_KEYS")
     if not cp.has_option(section, key):
         if required:
             raise ValidationError(f"missing config key [{section}] {key}")

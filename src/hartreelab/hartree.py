@@ -28,7 +28,12 @@ The RK4 oracle stays in x-space as the independent reference.
 
 The accumulator owns its buffers: each commutator is phased in place and the
 running integral is one array updated in place, so a frame allocates only its
-commutator gather, and a caller that keeps an integral copies it.  The
+commutator gather, and a caller that keeps an integral copies it.  The basis
+changes write into a kernel the caller owns (out=, which may be the input):
+a fresh commutator kernel becomes its own momentum kernel, a frame the
+caller keeps is phased and transformed in the one array it returns
+(_x_frame), and the direct L1, which keeps only diagonals, runs every frame
+through one scratch kernel.  The bits are those of the allocating forms.  The
 scattering ladder keeps one previous rung and takes each S^4 distance in the
 Gram form ||A||_4^4 = ||A^* A||_F^2 (linop._kernel_schatten), not by an SVD.
 
@@ -222,18 +227,24 @@ def _check_memory(grid: Grid, n_kernels: int, what: str):
         )
 
 
-def _to_mom(K: np.ndarray, grid: Grid) -> np.ndarray:
-    """Momentum kernel F K F^* of an x-space kernel, F the unitary DFT."""
+def _to_mom(K: np.ndarray, grid: Grid, out=None) -> np.ndarray:
+    """Momentum kernel F K F^* of an x-space kernel, F the unitary DFT.
+
+    Both passes write into ``out`` (a C-contiguous complex N x N array, which
+    may be K itself) or into one new array; the bits are the same either way.
+    """
     d, N = grid.d, grid.npoints
-    A = np.fft.fftn(K.reshape(grid.shape * 2), axes=tuple(range(d)), norm="ortho")
-    return np.fft.ifftn(A, axes=tuple(range(d, 2 * d)), norm="ortho").reshape(N, N)
+    A = np.fft.fftn(K.reshape(grid.shape * 2), axes=tuple(range(d)), norm="ortho",
+                    out=None if out is None else out.reshape(grid.shape * 2))
+    return np.fft.ifftn(A, axes=tuple(range(d, 2 * d)), norm="ortho", out=A).reshape(N, N)
 
 
-def _to_x(K: np.ndarray, grid: Grid) -> np.ndarray:
-    """x-space kernel F^* K F of a momentum kernel, the inverse of _to_mom."""
+def _to_x(K: np.ndarray, grid: Grid, out=None) -> np.ndarray:
+    """x-space kernel F^* K F of a momentum kernel, the inverse of _to_mom (same ``out``)."""
     d, N = grid.d, grid.npoints
-    A = np.fft.ifftn(K.reshape(grid.shape * 2), axes=tuple(range(d)), norm="ortho")
-    return np.fft.fftn(A, axes=tuple(range(d, 2 * d)), norm="ortho").reshape(N, N)
+    A = np.fft.ifftn(K.reshape(grid.shape * 2), axes=tuple(range(d)), norm="ortho",
+                     out=None if out is None else out.reshape(grid.shape * 2))
+    return np.fft.fftn(A, axes=tuple(range(d, 2 * d)), norm="ortho", out=A).reshape(N, N)
 
 
 def _kernel_free_conj(K: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarray:
@@ -246,6 +257,15 @@ def _kernel_free_conj(K: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarr
     out = np.multiply(a[:, None], K, out=out)
     out *= np.conj(a)[None, :]
     return out
+
+
+def _x_frame(Khat: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarray:
+    """x-space kernel of U(t) Khat U(-t) for a momentum kernel Khat.
+
+    Both steps write into ``out`` (which may be Khat itself) or into one new array.
+    """
+    F = _kernel_free_conj(Khat, grid, t, out=out)
+    return _to_x(F, grid, out=F)
 
 
 def _kernel_s2(K: np.ndarray, grid: Grid) -> float:
@@ -362,7 +382,8 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
     V is a trajectory of real potential fields.  A may be a single operator,
     a list of operators aligned with V.times, or a BackgroundState (meaning
     the fixed gamma_f).  Low-rank inputs stay low-rank (the commutator
-    doubles the rank per node and the running integral is recompressed);
+    doubles the rank per node and the running integral is recompressed to
+    1e-12 of its Hilbert-Schmidt norm, with no rank cap);
     everything else goes through dense kernels, after _check_memory.
     """
     times = V.times
@@ -373,7 +394,6 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
         out = []
         W = LowRankOperator(grid, np.zeros(0), np.zeros((0,) + grid.shape),
                             np.zeros((0,) + grid.shape))
-        rank0 = max(1, _frame_at(A, 0).rank)
         for k, t in enumerate(times):
             Q = _frame_at(A, k)
             v = np.real(V.frames[k].values)
@@ -387,8 +407,7 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
             Fk = scale(conjugate_free(C, -t), -1j)
             if k:
                 dt = times[k] - times[k - 1]
-                W = recompress(add(W, add(scale(Fprev, dt / 2), scale(Fk, dt / 2))),
-                               tol=1e-12, max_rank=8 * rank0)
+                W = recompress(add(W, add(scale(Fprev, dt / 2), scale(Fk, dt / 2))), tol=1e-12)
             out.append(conjugate_free(W, t))
             Fprev = Fk
         return out
@@ -402,11 +421,10 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
         commutator = _background_commutator(A, potential)
     else:
         def commutator(k):
-            return _to_mom(_commutator_kernel(potential(k), to_dense(_frame_at(A, k)).kernel),
-                           grid)
+            C = _commutator_kernel(potential(k), to_dense(_frame_at(A, k)).kernel)
+            return _to_mom(C, grid, out=C)
 
-    return [DenseOperator(grid, _to_x(_kernel_free_conj(W, grid, t), grid) if k
-                          else np.zeros_like(W))
+    return [DenseOperator(grid, _x_frame(W, grid, t) if k else np.zeros_like(W))
             for k, t, W in _duhamel_accumulate(grid, times, np.diff(times), commutator)]
 
 
@@ -530,12 +548,13 @@ def picard_solve(
     kf = gamma_f_kernel(bg)
 
     def commutator(k):  # [V, Q + gamma_f] on the current sweep's x-space iterate Q
-        return _to_mom(_commutator_kernel(_kernel_potential(bg, Q[k]), Q[k] + kf), g)
+        C = _commutator_kernel(_kernel_potential(bg, Q[k]), Q[k] + kf)
+        return _to_mom(C, g, out=C)
 
     for halving in range(max_halvings + 1):
         nfr = len(times)
         # the first iterate is the free flow U(t) Q0 U(-t)
-        Q = [_to_x(_kernel_free_conj(K0hat, g, t), g) for t in times]
+        Q = [_x_frame(K0hat, g, t) for t in times]
         rho_free = Trajectory(times, [Field(g, np.real(np.diagonal(Kt).reshape(g.shape)))
                                       for Kt in Q])
         data_norm = _data_norm(bg, rho_free, scheme)
@@ -545,8 +564,10 @@ def picard_solve(
         history = []
         converged = False
         for sweep in range(max_sweeps):
-            Qnew = [_to_x(_kernel_free_conj(K0hat + W, g, t), g)
-                    for k, t, W in _duhamel_accumulate(g, times, dt, commutator)]
+            Qnew = []
+            for _, t, W in _duhamel_accumulate(g, times, dt, commutator):
+                S = K0hat + W
+                Qnew.append(_x_frame(S, g, t, out=S))
             delta = max(_kernel_s2(Qnew[k] - Q[k], g) for k in range(nfr))
             rho_delta = Trajectory(
                 times,
@@ -639,8 +660,10 @@ def l1_apply_direct(gtr: Trajectory, bg: BackgroundState) -> Trajectory:
     times = gtr.times
     commutator = _background_commutator(bg, lambda k: _flat_potential(bg, gtr.frames[k].values))
 
-    # L1[g] = -rho(D_{w*g}[gamma_f]); only each frame's x-space diagonal is kept.
-    out = [Field(g, -np.diagonal(_to_x(_kernel_free_conj(W, g, t), g)).reshape(g.shape) if k
+    # L1[g] = -rho(D_{w*g}[gamma_f]); only each frame's x-space diagonal is kept, so
+    # every frame's basis change runs in one scratch kernel.
+    scratch = np.empty((g.npoints, g.npoints), dtype=complex)
+    out = [Field(g, -np.diagonal(_x_frame(W, g, t, out=scratch)).reshape(g.shape) if k
                  else np.zeros(g.shape))
            for k, t, W in _duhamel_accumulate(g, times, np.diff(times), commutator)]
     return Trajectory(times, out)

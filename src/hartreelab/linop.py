@@ -388,7 +388,7 @@ def compose(A, B):
     return DenseOperator(g, hd * (to_dense(A).kernel @ to_dense(B).kernel))
 
 
-def recompress(A: LowRankOperator, tol: float, max_rank: int | None = None) -> LowRankOperator:
+def recompress(A: LowRankOperator, tol: float) -> LowRankOperator:
     """Singular-value truncation of the small core.
 
     Returns an operator within Hilbert-Schmidt distance tol * ||A||_{S^2}
@@ -405,9 +405,6 @@ def recompress(A: LowRankOperator, tol: float, max_rank: int | None = None) -> L
         tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[k] = ||s[k:]||_2
         ok = np.nonzero(tail <= tol * s2)[0]
         keep = int(ok[0]) if len(ok) else len(s)
-    if max_rank is not None:
-        keep = min(keep, max_rank)
-    keep = max(keep, 0)
     w = np.sqrt(g.h**g.d)
     newleft = (Ql @ Uc[:, :keep]).T.reshape((keep,) + g.shape) / w
     newright = (Qr @ np.conj(Vch[:keep, :]).T).T.reshape((keep,) + g.shape) / w

@@ -9,6 +9,15 @@ for the full randomization), so acceptance checks the slope from above only.
 Draw m uses sample stream m, so tables are identical for any batching of
 the ensemble.  The time window [0, T] is short enough that wavepackets stay
 well inside the periodic box.
+
+The singular experiment's mode densities l_n conj(r_n) are real for
+Hermitian data, and then each block of draws is one real matrix product (a
+non-Hermitian operator keeps the complex product).  The full and function
+experiments form their phased transforms once and inverse-transform each
+draw's product in place, in buffers they reuse.  The mixed norm takes
+integer powers by repeated multiplication, over chunks of draws small
+enough to stay in cache.  Moments agree with the all-complex evaluation to
+rounding (about 1e-15 relative), not bit for bit.
 """
 
 from __future__ import annotations
@@ -93,14 +102,35 @@ def fit_moment_slope(table: MomentTable, n_boot: int = 200) -> SlopeFit:
     return SlopeFit(slope, intercept, float(lo), float(hi))
 
 
+# The mixed norm works through its draws in chunks of about 2^18 field entries
+# (2 MB real), which stay in cache through its passes; rows do not depend on it.
+_CHUNK_ENTRIES = 2**18
+
+
 def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q) -> np.ndarray:
-    """L^p_t L^q_x per draw for fields of shape (M, K, *spatial)."""
-    a = np.abs(fields)
-    space_axes = tuple(range(2, a.ndim))
-    if np.isinf(q):
-        s = a.max(axis=space_axes)
-    else:
-        s = (hd * np.sum(a**q, axis=space_axes)) ** (1.0 / q)
+    """L^p_t L^q_x per draw for fields of shape (M, K, *spatial).
+
+    An integer q >= 1 takes |a|^q by repeated multiplication in place, which
+    is several times cheaper than the general power.
+    """
+    M, K = fields.shape[:2]
+    fields = fields.reshape(M, K, -1)
+    s = np.empty((M, K))
+    step = max(1, _CHUNK_ENTRIES // fields[0].size)
+    for i in range(0, M, step):
+        rows = slice(i, i + step)
+        a = np.abs(fields[rows])
+        if np.isinf(q):
+            s[rows] = a.max(axis=2)
+        elif float(q).is_integer() and q >= 1:
+            aq = a if q == 1 else a * a
+            for _ in range(int(q) - 2):
+                aq *= a
+            s[rows] = np.sum(aq, axis=2)
+        else:
+            s[rows] = np.sum(a**q, axis=2)
+    if not np.isinf(q):
+        s = (hd * s) ** (1.0 / q)
     if np.isinf(p):
         return s.max(axis=1)
     return np.sum(weights[None, :] * s**p, axis=1) ** (1.0 / p)
@@ -144,7 +174,8 @@ def singular_moment_experiment(
     A^{omega;sigma} is the Sobolev-conjugated coefficient randomization: the
     singular values of <grad>^sigma A <grad>^sigma get independent draws.
     The draw-independent mode densities are precomputed once, so each draw
-    costs one small tensor contraction.
+    costs one small tensor contraction; when the mode densities are real
+    (Hermitian data), each block of draws is one real matrix product.
     """
     _check_ensemble(M, T, orders, p=p, q=q, sigma=sigma)
     singular_estimate_exponents(p, q, Fraction(sigma).limit_denominator(10**6), d)
@@ -168,16 +199,21 @@ def singular_moment_experiment(
             e = _apply_multiplier_stack(bessel_multiplier(grid, sigma), e, grid)
         modes[:, k] = e
 
+    # e_n = l_n conj(r_n) is real to rounding for Hermitian data (imag/real about
+    # 1e-15); a non-Hermitian operator keeps its imaginary half
+    if np.abs(modes.imag).max(initial=0.0) <= 1e-13 * np.abs(modes.real).max(initial=0.0):
+        modes = np.ascontiguousarray(modes.real)
+    modes = modes.reshape(A.rank, n_frames * grid.npoints)
+    coeffs = A.coeffs.real  # singular values: recompress leaves no imaginary part
+
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
     samples = np.empty(M)
     block = max(1, int(4e6 // (n_frames * grid.npoints)))
     for start in range(0, M, block):
         stop = min(M, start + block)
-        C = np.array(
-            [A.coeffs * sample_coefficients(family, A.rank, m) for m in range(start, stop)]
-        )
-        fields = np.tensordot(C, modes, axes=(1, 0))
+        C = np.array([coeffs * sample_coefficients(family, A.rank, m) for m in range(start, stop)])
+        fields = (C @ modes).reshape((stop - start, n_frames) + grid.shape)
         samples[start:stop] = _mixed_norm_batch(fields, w, hd, p, q)
 
     meta = {
@@ -210,6 +246,8 @@ def full_moment_experiment(
 
     Each draw reweights both factor sides by one shared random frequency
     multiplier and the singular values by independent coefficient draws.
+    The phased factor transforms are formed once; each draw multiplies them
+    by its multiplier and inverse-transforms in place, in buffers it reuses.
     """
     _check_ensemble(M, T, orders, p=p, q=q, q_hat=q_hat)
     full_estimate_check(p, q, q_hat, min(float(r) for r in orders), d)
@@ -228,6 +266,11 @@ def full_moment_experiment(
     xi2 = grid.xi_squared()
     phases = np.exp(-1j * times[:, None] * xi2.reshape(-1)[None]).reshape((n_frames,) + grid.shape)
     cell_stack = np.array([pou.cell_symbol(k) for k in pou.cells])
+    lph = lhat[:, None] * phases[None]
+    rph = rhat[:, None] * phases[None]
+    lt = np.empty_like(lph)
+    rt = lt if symmetric else np.empty_like(rph)
+    spatial = tuple(range(2, d + 2))
 
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
@@ -236,13 +279,9 @@ def full_moment_experiment(
         g = sample_coefficients(family_g, A.rank, m)
         ell = sample_coefficients(family_ell, len(pou.cells), m)
         R = np.tensordot(ell, cell_stack, axes=(0, 0))
-        lt = np.fft.ifftn(lhat[:, None] * R[None, None] * phases[None], axes=tuple(range(2, d + 2)))
-        if symmetric:
-            rt = lt
-        else:
-            rt = np.fft.ifftn(
-                rhat[:, None] * R[None, None] * phases[None], axes=tuple(range(2, d + 2))
-            )
+        np.fft.ifftn(np.multiply(lph, R, out=lt), axes=spatial, out=lt)
+        if not symmetric:
+            np.fft.ifftn(np.multiply(rph, R, out=rt), axes=spatial, out=rt)
         rho = np.einsum("n,nk...,nk...->k...", A.coeffs * g, lt, np.conj(rt))
         samples[m] = _mixed_norm_batch(rho[None], w, hd, p, q_hat)[0]
 
@@ -279,7 +318,11 @@ def function_moment_experiment(
     n_frames: int = 17,
     f: Field | None = None,
 ) -> MomentTable:
-    """Moments of ||U(t) f^omega||_{L^p_t L^{q_hat}_x} under Wiener randomization."""
+    """Moments of ||U(t) f^omega||_{L^p_t L^{q_hat}_x} under Wiener randomization.
+
+    The phased transform of f is formed once; each block of draws multiplies
+    it by the draws' multipliers and inverse-transforms in place, in one buffer.
+    """
     _check_ensemble(M, T, orders)
     if not strichartz_admissible(p, q, d):
         raise ValueError("(p, q) is not a Strichartz-admissible pair")
@@ -292,27 +335,25 @@ def function_moment_experiment(
     if f is None:
         x2 = sum(x**2 for x in grid.x_mesh())
         f = Field(grid, np.exp(-x2 / 2.0))
-    fhat = np.fft.fftn(f.values)
-
     times = np.linspace(0.0, T, n_frames)
     xi2 = grid.xi_squared()
     phases = np.exp(-1j * times[:, None] * xi2.reshape(-1)[None]).reshape((n_frames,) + grid.shape)
+    fph = np.fft.fftn(f.values) * phases
     cell_stack = np.array([pou.cell_symbol(k) for k in pou.cells])
 
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
     samples = np.empty(M)
-    spatial = tuple(range(1, d + 1))
     block = max(1, int(4e6 // (n_frames * grid.npoints)))
+    buf = np.empty((min(block, M), n_frames) + grid.shape, dtype=complex)
     for start in range(0, M, block):
         stop = min(M, start + block)
         ells = np.array(
             [sample_coefficients(family, len(pou.cells), m) for m in range(start, stop)]
         )
         R = np.tensordot(ells, cell_stack, axes=(1, 0))
-        frames = np.fft.ifftn(
-            (fhat[None] * R)[:, None] * phases[None], axes=tuple(range(2, d + 2))
-        )
+        frames = np.multiply(fph, R[:, None], out=buf[: stop - start])
+        np.fft.ifftn(frames, axes=tuple(range(2, d + 2)), out=frames)
         samples[start:stop] = _mixed_norm_batch(frames, w, hd, p, q_hat)
 
     meta = {

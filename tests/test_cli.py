@@ -296,6 +296,12 @@ _BAD_INPUTS = [
     ("hartree solve", {("background", "w_scale"): "inf"}, "w_scale must be finite, got inf"),
     ("hartree linearized", {("background", "f_scale"): "nan"}, "f_scale must be finite, got nan"),
     ("hartree linearized", {("background", "w_scale"): "nan"}, "w_scale must be finite, got nan"),
+    ("strichartz singular", {("experiment", "sigm"): "0.5"}, "unknown config key [experiment] sigm"),
+    ("strichartz singular", {("randomisation", "seed"): "1"},
+     "unknown config key [randomisation] seed"),
+    ("hartree solve", {("run", "tolerance"): "1e-9"}, "unknown config key [run] tolerance"),
+    ("hartree scatter", {("run", "n_rung"): "4"}, "unknown config key [run] n_rung"),
+    ("calibrate-l1", {("background", "fscale"): "0.5"}, "unknown config key [background] fscale"),
 ]
 
 
@@ -310,3 +316,11 @@ def test_bad_input_is_a_validation_error(tmp_path, command, overrides, named):
     assert "Traceback" not in res.stdout + res.stderr
     assert res.stderr.startswith("error:") and named in res.stderr
 
+
+
+def test_malformed_config_is_a_validation_error(tmp_path):
+    cfg = _write(tmp_path / "bad.config", "d = 1\n[grid]\nn = 8\n")
+    res = _cli("hartree", "solve", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stdout + res.stderr
+    assert res.stderr.startswith("error: malformed config")

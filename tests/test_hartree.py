@@ -429,6 +429,21 @@ def test_momentum_basis_round_trip(d, seed):
 
 
 @_basis_settings
+@given(d=_dims, seed=_seeds)
+def test_basis_change_into_a_buffer_is_bit_identical(d, seed):
+    # out=None, a separate buffer and out=K itself give the same bits
+    g = _BASIS_GRIDS[d]
+    K = _random_kernel(g, seed)
+    for change in (_to_mom, _to_x):
+        want = change(K, g)
+        buf = np.empty_like(K)
+        assert change(K, g, out=buf) is not None and np.array_equal(buf, want)
+        own = K.copy()
+        got = change(own, g, out=own)
+        assert np.shares_memory(got, own) and np.array_equal(own, want)
+
+
+@_basis_settings
 @given(d=_dims, seed=_seeds, t=st.floats(-3.0, 3.0))
 def test_momentum_free_conjugation_is_a_phase(d, seed, t):
     g = _BASIS_GRIDS[d]
@@ -477,6 +492,23 @@ def test_duhamel_lowrank_matches_dense_path(d, seed, omega):
     for a, b in zip(low, dense):
         diff = to_dense(a).kernel - b.kernel
         assert np.max(np.abs(diff)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_duhamel_lowrank_is_not_truncated(d):
+    # rank-3 data under a potential of unit size: the running integral needs
+    # more than 8 x 3 ranks at d=3, and every one of them is kept
+    g = _BASIS_GRIDS[d]
+    Q = _small_data(g, seed=1, scale=1.0)
+    xm = g.x_mesh()
+    v = sum(np.cos(2 * np.pi * (a + 1) * xm[a] / g.L) for a in range(d))
+    times = np.linspace(0.0, 0.2, 9)
+    V = Trajectory(times, [Field(g, np.cos(3.0 * t) * v) for t in times])
+    low = duhamel_series(V, Q)
+    dense = duhamel_series(V, to_dense(Q))
+    scale = max(np.max(np.abs(b.kernel)) for b in dense)
+    worst = max(np.max(np.abs(to_dense(a).kernel - b.kernel)) for a, b in zip(low, dense))
+    assert worst <= 1e-11 * scale
 
 
 # Row blocks of the Gram form are 128 rows, so N = 256 takes two of them.

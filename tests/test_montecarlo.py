@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from hartreelab.grid import Field, make_grid
-from hartreelab.linop import LowRankOperator, random_low_rank, recompress
+from hartreelab.grid import Field, bessel_multiplier, make_grid
+from hartreelab.linop import (
+    LowRankOperator,
+    _apply_multiplier_stack,
+    _conjugate_multiplier,
+    conjugate_free,
+    random_low_rank,
+    recompress,
+)
+from hartreelab import montecarlo
 from hartreelab.montecarlo import (
+    _mixed_norm_batch,
     analytic_abs_normal_moment,
     fit_moment_slope,
     full_moment_experiment,
@@ -12,8 +21,8 @@ from hartreelab.montecarlo import (
     singular_moment_experiment,
     strichartz_admissible,
 )
-from hartreelab.norms import MomentTable
-from hartreelab.randomize import SubgaussianFamily
+from hartreelab.norms import MomentTable, trapezoid_weights
+from hartreelab.randomize import SubgaussianFamily, sample_coefficients
 
 
 def test_slope_fit_recovers_power_law():
@@ -79,6 +88,58 @@ def test_singular_experiment_batching_independence():
     a = singular_moment_experiment(1, 32, 16.0, 3, 0.5, 8.0, 4.0, fam, M=40, **kwargs)
     b = singular_moment_experiment(1, 32, 16.0, 3, 0.5, 8.0, 4.0, fam, M=60, **kwargs)
     assert np.array_equal(a.samples, b.samples[:40])
+
+
+def _singular_reference(grid, operator, sigma, p, q, family, M, T, n_frames):
+    """The singular ensemble's samples in complex arithmetic, with the general power."""
+    A = recompress(_conjugate_multiplier(operator, bessel_multiplier(grid, sigma)), tol=0.0)
+    B = _conjugate_multiplier(A, bessel_multiplier(grid, -sigma))
+    times = np.linspace(0.0, T, n_frames)
+    modes = np.empty((A.rank, n_frames) + grid.shape, dtype=complex)
+    for k, t in enumerate(times):
+        Bt = conjugate_free(B, t)
+        modes[:, k] = _apply_multiplier_stack(bessel_multiplier(grid, sigma),
+                                              Bt.left * np.conj(Bt.right), grid)
+    C = np.array([A.coeffs * sample_coefficients(family, A.rank, m) for m in range(M)])
+    fields = np.tensordot(C, modes, axes=(1, 0))
+    space = tuple(range(2, fields.ndim))
+    s = (grid.h**grid.d * np.sum(np.abs(fields) ** q, axis=space)) ** (1.0 / q)
+    w = trapezoid_weights(times)
+    return np.sum(w * s**p, axis=1) ** (1.0 / p), modes
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_singular_real_path_matches_complex_reference(hermitian):
+    # Hermitian data have real mode densities and take the real product; a
+    # non-Hermitian operator keeps the imaginary half of its densities.
+    grid = make_grid(2, 8, 8.0)
+    op = random_low_rank(grid, 3, np.random.default_rng(5), hermitian=hermitian)
+    fam = SubgaussianFamily("gaussian", 77)
+    kwargs = dict(sigma=2.0 / 3.0, p=3.0, q=3.0, family=fam, M=30, T=0.25, n_frames=5)
+    table = singular_moment_experiment(2, 8, 8.0, 3, orders=[4.0, 8.0], operator=op, **kwargs)
+    want, modes = _singular_reference(grid, op, **kwargs)
+    imag = np.max(np.abs(modes.imag)) / np.max(np.abs(modes.real))
+    assert imag < 1e-13 if hermitian else imag > 0.1
+    np.testing.assert_allclose(table.samples, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 2.5, np.inf])
+@pytest.mark.parametrize("p", [2.0, np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_mixed_norm_batch_matches_the_general_power(q, p, dtype, monkeypatch):
+    rng = np.random.default_rng(3)
+    fields = rng.standard_normal((4, 5, 6, 7)).astype(dtype)
+    if dtype is complex:
+        fields += 1j * rng.standard_normal(fields.shape)
+    w = trapezoid_weights(np.linspace(0.0, 1.0, 5))
+    a = np.abs(fields)
+    s = a.max(axis=(2, 3)) if np.isinf(q) else (0.3 * np.sum(a**q, axis=(2, 3))) ** (1.0 / q)
+    want = s.max(axis=1) if np.isinf(p) else np.sum(w * s**p, axis=1) ** (1.0 / p)
+    got = _mixed_norm_batch(fields, w, 0.3, p, q)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # draws are taken in chunks; a chunk of one draw gives the same bits
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    assert np.array_equal(_mixed_norm_batch(fields, w, 0.3, p, q), got)
 
 
 def test_singular_experiment_validates_exponents():
