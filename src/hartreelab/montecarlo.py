@@ -15,7 +15,7 @@ Hermitian data, and then each block of draws is one real matrix product (a
 non-Hermitian operator keeps the complex product).  The full and function
 experiments form their phased transforms once and inverse-transform each
 draw's product in place, in buffers they reuse.  The mixed norm takes
-integer powers by repeated multiplication, over chunks of draws small
+integer powers up to 4 by repeated multiplication, over chunks of draws small
 enough to stay in cache.  Moments agree with the all-complex evaluation to
 rounding (about 1e-15 relative), not bit for bit.
 """
@@ -110,8 +110,8 @@ _CHUNK_ENTRIES = 2**18
 def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q) -> np.ndarray:
     """L^p_t L^q_x per draw for fields of shape (M, K, *spatial).
 
-    An integer q >= 1 takes |a|^q by repeated multiplication in place, which
-    is several times cheaper than the general power.
+    q in {1, 2, 3, 4} takes |a|^q by repeated multiplication in place, which
+    is several times cheaper than the general power; other q use a**q.
     """
     M, K = fields.shape[:2]
     fields = fields.reshape(M, K, -1)
@@ -122,7 +122,7 @@ def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q) 
         a = np.abs(fields[rows])
         if np.isinf(q):
             s[rows] = a.max(axis=2)
-        elif float(q).is_integer() and q >= 1:
+        elif q in (1, 2, 3, 4):
             aq = a if q == 1 else a * a
             for _ in range(int(q) - 2):
                 aq *= a
@@ -267,9 +267,8 @@ def full_moment_experiment(
     phases = np.exp(-1j * times[:, None] * xi2.reshape(-1)[None]).reshape((n_frames,) + grid.shape)
     cell_stack = np.array([pou.cell_symbol(k) for k in pou.cells])
     lph = lhat[:, None] * phases[None]
-    rph = rhat[:, None] * phases[None]
     lt = np.empty_like(lph)
-    rt = lt if symmetric else np.empty_like(rph)
+    rph, rt = (None, lt) if symmetric else (rhat[:, None] * phases[None], np.empty_like(lph))
     spatial = tuple(range(2, d + 2))
 
     w = trapezoid_weights(times)

@@ -123,7 +123,7 @@ def test_singular_real_path_matches_complex_reference(hermitian):
     np.testing.assert_allclose(table.samples, want, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 2.5, np.inf])
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 6.0, 2.5, np.inf])
 @pytest.mark.parametrize("p", [2.0, np.inf])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_mixed_norm_batch_matches_the_general_power(q, p, dtype, monkeypatch):
