@@ -12,8 +12,12 @@ D_V[A](t) = -i int_0^t U(t-tau) [V(tau), A(tau)] U(tau-t) dtau.  Every dense
 evaluation of it goes through the one accumulator _duhamel_accumulate: the
 Picard map, duhamel_series, the wave operator W(t) = U(-t) Q(t) U(t) of
 scattering_diagnostic, and the direct response L1[g] = -rho(D_{w*g}[gamma_f])
-of l1_apply_direct.  The frequency-domain L1 is one causal lag sum, _lag_sum,
-shared by l1_apply_fourier, _l1_convolve and _march_density.
+of l1_apply_direct.  The frequency-domain L1 is a causal trapezoid sum in time
+against the real kernel stack of _l1_kernel_stack, taken two ways on purpose:
+_march_density solves with it as a direct sum over contiguous views of the
+history, and _l1_convolve (behind l1_apply_fourier and the solve's residual)
+applies it as one zero-padded FFT convolution along time, so the residual is
+an independent check of the march.
 
 The accumulator works in the momentum basis.  With F the unitary DFT on
 the flattened grid (numpy's norm="ortho"), a dense kernel K is carried as
@@ -38,9 +42,9 @@ scattering ladder keeps one previous rung and takes each S^4 distance in the
 Gram form ||A||_4^4 = ||A^* A||_F^2 (linop._kernel_schatten), not by an SVD.
 
 Each dense path (the nonlinear solver, the oracle, the direct L1, scattering)
-first counts the N x N kernels it will hold and refuses a problem whose
-estimate exceeds physical memory (_check_memory).  The linear-response path
-works frame-by-frame in frequency and scales to finer grids.
+first counts the N x N kernels it will hold, and the linear-response march the
+(frames, N) frequency stacks it will hold, and refuses a problem whose
+estimate exceeds physical memory (_check_memory).
 """
 
 from __future__ import annotations
@@ -168,7 +172,7 @@ def background_density(bg: BackgroundState) -> float:
 
 def gamma_f_kernel(bg: BackgroundState) -> np.ndarray:
     """Dense kernel k_f(x - y) of gamma_f (refused if it exceeds physical memory)."""
-    _check_memory(bg.grid, 2, "gamma_f_kernel")
+    _check_memory(bg.grid, "gamma_f_kernel", kernels=2)
     return _displacement_kernel(bg.f)
 
 
@@ -207,22 +211,33 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
 _ACCUMULATOR_KERNELS = 7
 
 
-def _check_memory(grid: Grid, n_kernels: int, what: str):
-    """Refuse, before it allocates, a dense path holding n_kernels N x N kernels.
+# (frames, N) complex stacks the frequency-domain march holds: the source
+# density frames, source_hat, rho_hat, the real kernel stack G (half a stack),
+# its reversed interleaved copy and the weighted history.  tracemalloc peak of
+# linearized_solve with c0 given, 257 frames: 5.5 stacks at d=2, N = 4096; 6.6 at
+# N = 1024, where the free flow's fixed 4 MB chunk is one more stack.
+_MARCH_STACKS = 6
 
-    The one size rule for dense kernels: a ValueError names the estimate when it
-    exceeds physical memory.  Hosts without these os.sysconf names are not checked.
+
+def _check_memory(grid: Grid, what: str, kernels: int = 0, stacks: int = 0, frames: int = 0):
+    """Refuse, before it allocates, a path holding kernels dense N x N kernels
+    and stacks (frames, N) frequency stacks, all complex.
+
+    The one size rule: a ValueError names the byte estimate when it exceeds
+    physical memory.  Hosts without these os.sysconf names are not checked.
     """
     N = grid.npoints
-    need = n_kernels * N**2 * np.dtype(complex).itemsize
+    need = (kernels * N + stacks * frames) * N * np.dtype(complex).itemsize
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     if need > have:
+        held = [f"{kernels} dense {N}x{N} kernels"] if kernels else []
+        held += [f"{stacks} ({frames}, {N}) frequency stacks"] if stacks else []
         raise ValueError(
-            f"{what} would hold about {need / 1e9:.1f} GB ({n_kernels} dense {N}x{N} "
-            f"kernels), more than the {have / 1e9:.1f} GB of physical memory; "
+            f"{what} would hold about {need / 1e9:.1f} GB ({' and '.join(held)}), more "
+            f"than the {have / 1e9:.1f} GB of physical memory; "
             "use a coarser grid or fewer time steps"
         )
 
@@ -412,7 +427,7 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
             Fprev = Fk
         return out
 
-    _check_memory(grid, len(times) + _ACCUMULATOR_KERNELS, "duhamel_series")
+    _check_memory(grid, "duhamel_series", kernels=len(times) + _ACCUMULATOR_KERNELS)
 
     def potential(k):
         return np.real(V.frames[k].values).reshape(-1)
@@ -540,7 +555,7 @@ def picard_solve(
     times = _uniform_times(T, dt)
     # the iterate and the next iterate, frame by frame, and the sweep's working set:
     # tracemalloc measures 2 x frames + 8 kernels; halving only shrinks them
-    _check_memory(g, 2 * len(times) + 8, "picard_solve")
+    _check_memory(g, "picard_solve", kernels=2 * len(times) + 8)
     K0 = to_dense(Q0).kernel
     if np.linalg.norm(K0 - np.conj(K0).T) > 1e-8 * max(np.linalg.norm(K0), 1e-300):
         raise ValueError("initial data must be self-adjoint")
@@ -604,7 +619,7 @@ def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun
     g = bg.grid
     times = _uniform_times(T, dt)
     # every frame, plus gamma_f, the state, four stages and the rhs temporaries
-    _check_memory(g, len(times) + 10, "dense_rk4_oracle")
+    _check_memory(g, "dense_rk4_oracle", kernels=len(times) + 10)
     kf = gamma_f_kernel(bg)
     xi2 = g.xi_squared()
 
@@ -656,7 +671,7 @@ def spectrum_drift(run: HartreeRun, bg: BackgroundState) -> float:
 def l1_apply_direct(gtr: Trajectory, bg: BackgroundState) -> Trajectory:
     """L1[g](t) = rho( i int_0^t U(t-tau) [w*g(tau), gamma_f] U(tau-t) dtau )."""
     g = bg.grid
-    _check_memory(g, _ACCUMULATOR_KERNELS, "l1_apply_direct")
+    _check_memory(g, "l1_apply_direct", kernels=_ACCUMULATOR_KERNELS)
     times = gtr.times
     commutator = _background_commutator(bg, lambda k: _flat_potential(bg, gtr.frames[k].values))
 
@@ -798,31 +813,54 @@ class LinearizedRun:
     c0: float
 
 
-def _lag_sum(G: np.ndarray, x_hat: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """Causal trapezoid sum over [0, t_k] of G(t_k - t_j) x_hat(t_j), j < k.
+# frequency columns per FFT pass of _l1_convolve: the pass works through the
+# (time, frequency) array in column blocks, so its working set stays below one
+# (frames, N) complex stack
+_CONVOLVE_COLUMNS = 512
 
-    The j = k endpoint drops out because G[0] = 0, which is what makes the
-    march in _march_density explicit.
-    """
-    w = np.full(k, dt)
-    w[0] = dt / 2
-    wshape = (k,) + (1,) * (x_hat.ndim - 1)
-    return np.sum(w.reshape(wshape) * G[k - np.arange(k)] * x_hat[:k], axis=0)
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms without Bluestein."""
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
 
 
 def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarray,
                    c0: float) -> np.ndarray:
-    """Causal solve of (1 + L1) rho = source in frequency; returns rho_hat."""
+    """Causal solve of (1 + L1) rho = source in frequency; returns rho_hat.
+
+    A direct trapezoid sum, rho_hat[k] = source_hat[k] - c0 sum_{j<k} w_j
+    G[k-j] rho_hat[j] with w_0 = dt/2 and w_j = dt; the j = k endpoint drops
+    out because G[0] = 0, which makes the march explicit.  G is real, so the
+    sum runs in real arithmetic over interleaved (re, im) columns: the kernel
+    stack is reversed once, so that G[k-j], j < k, is the contiguous slice
+    Gr[K-1-k:K-1], and the weighted history w_j rho_hat[j] is kept alongside
+    rho_hat.  Each step is then one contraction with no copy of the history.
+    """
     if not math.isfinite(c0):
         raise ValueError(f"c0 must be finite, got {c0}")
     K = len(times)
     dt = float(times[1] - times[0])
     G = _l1_kernel_stack(bg, K, dt)
-    rho_hat = np.zeros_like(source_hat)
+    N = G[0].size
+    Gr = np.repeat(G[::-1].reshape(K, N), 2, axis=1)
+    rho_hat = np.empty_like(source_hat)
     rho_hat[0] = source_hat[0]
+    flat = rho_hat.reshape(K, N).view(float)
+    xw = np.empty((K, 2 * N))
+    np.multiply(flat[0], dt / 2, out=xw[0])
+    acc = np.empty(2 * N)
     src_scale = float(np.linalg.norm(source_hat))
     for k in range(1, K):
-        rho_hat[k] = source_hat[k] - c0 * _lag_sum(G, rho_hat, k, dt)
+        np.einsum("jm,jm->m", Gr[K - 1 - k:K - 1], xw[:k], out=acc)
+        rho_hat[k] = source_hat[k] - c0 * acc.view(complex).reshape(source_hat.shape[1:])
+        np.multiply(flat[k], dt, out=xw[k])
         if src_scale > 0 and np.linalg.norm(rho_hat[k]) > 1e6 * src_scale:
             raise RuntimeError(
                 "linearized marching diverged: growth factor "
@@ -833,13 +871,33 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
 
 def _l1_convolve(bg: BackgroundState, times: np.ndarray, rho_hat: np.ndarray,
                  c0: float) -> np.ndarray:
-    """c0 L1 applied frame by frame in frequency to rho_hat, shape (K,) + grid.shape."""
+    """c0 L1 applied frame by frame in frequency to rho_hat, shape (K,) + grid.shape.
+
+    The same trapezoid sum as _march_density, taken by another algorithm so
+    that the residual of a march is an independent check: with the input
+    fully known, the causal sum is one zero-padded linear convolution along
+    time.  G is real, so the real and imaginary parts of the weighted input
+    are convolved with real transforms, padded to a 5-smooth length >= 2K - 1
+    and taken over blocks of _CONVOLVE_COLUMNS frequencies.
+    """
     K = len(times)
     dt = float(times[1] - times[0])
-    G = _l1_kernel_stack(bg, K, dt)
-    out = np.zeros_like(rho_hat)
-    for k in range(1, K):
-        out[k] = c0 * _lag_sum(G, rho_hat, k, dt)
+    G = _l1_kernel_stack(bg, K, dt).reshape(K, -1)
+    N = G.shape[1]
+    L = _smooth_length(2 * K - 1)
+    w = np.full((K, 1), dt)
+    w[0] = dt / 2
+    x = rho_hat.reshape(K, N)
+    out = np.empty_like(rho_hat)
+    res = out.reshape(K, N)
+    for i in range(0, N, _CONVOLVE_COLUMNS):
+        cols = slice(i, i + _CONVOLVE_COLUMNS)
+        Gf = np.fft.rfft(G[:, cols], n=L, axis=0)
+        xc = w * x[:, cols]
+        res.real[:, cols] = np.fft.irfft(Gf * np.fft.rfft(xc.real, n=L, axis=0), n=L, axis=0)[:K]
+        res.imag[:, cols] = np.fft.irfft(Gf * np.fft.rfft(xc.imag, n=L, axis=0), n=L, axis=0)[:K]
+    res *= c0
+    out[0] = 0.0  # G[0] = 0: no response at t = 0
     return out
 
 
@@ -857,12 +915,15 @@ def linearized_solve(
     """
     g = bg.grid
     times = _uniform_times(T, dt)
+    _check_memory(g, "linearized_solve", stacks=_MARCH_STACKS, frames=len(times))
     if c0 is None:
         c0 = calibrate_l1_constant(bg).c0
     src_traj = density_trajectory(Q0, times)
     source_hat = np.stack([np.fft.fftn(np.real(fr.values)) for fr in src_traj.frames])
     rho_hat = _march_density(bg, times, source_hat, c0)
-    resid = rho_hat + _l1_convolve(bg, times, rho_hat, c0) - source_hat
+    resid = _l1_convolve(bg, times, rho_hat, c0)
+    resid += rho_hat
+    resid -= source_hat
     src_scale = float(np.linalg.norm(source_hat))
     residual = float(np.linalg.norm(resid) / src_scale) if src_scale > 0 else 0.0
     rho_frames = [Field(g, np.real(np.fft.ifftn(rho_hat[k]))) for k in range(len(times))]
@@ -917,8 +978,10 @@ def scattering_diagnostic(
                          f"below dt = {dt}")
     # the accumulator, the previous rung, and the Gram blocks or the SVD's copies:
     # peak RSS over the call is 4.5 kernels at alpha = 4 (d=2, N = 1024), 5.5 and 6.1
-    # at alpha = 3 (d=2, N = 1024; d=3, N = 512), 7.0 in the implicit calibration
-    _check_memory(g, _ACCUMULATOR_KERNELS, "scattering_diagnostic")
+    # at alpha = 3 (d=2, N = 1024; d=3, N = 512), 7.0 in the implicit calibration;
+    # the march before the ladder holds the frequency stacks
+    _check_memory(g, "scattering_diagnostic", kernels=_ACCUMULATOR_KERNELS,
+                  stacks=_MARCH_STACKS, frames=len(times))
     if c0 is None:
         zero_bg = (np.max(np.abs(bg.f.symbol)) == 0) or (np.max(np.abs(bg.w_hat.symbol)) == 0)
         c0 = 0.0 if zero_bg else calibrate_l1_constant(bg).c0

@@ -279,6 +279,35 @@ def conjugate_free(A, t: float):
     return _conjugate_multiplier(A, free_propagator(A.grid, t))
 
 
+# Stacked passes (the free frames here, the mixed norm in montecarlo) work in
+# chunks of about 2^18 entries, which stay in cache; no result depends on it.
+_CHUNK_ENTRIES = 2**18
+
+
+def _free_frames(A: LowRankOperator, times):
+    """Factor stacks of U(t) A U(t)^* for t in times, as (left, right) per chunk.
+
+    The batched form of conjugate_free for a low-rank A of rank > 0: each
+    factor stack is transformed forward once, and each chunk of frames is
+    phased by e^{-it|xi|^2} and inverse-transformed in one batched ifftn.
+    A chunk holds at most about _CHUNK_ENTRIES entries (at least one frame);
+    its stacks have shape (frames, R) + grid.shape, and right is left when
+    A.right is A.left, so symmetric factors cost one inverse transform per
+    frame.  The stacks are those of conjugate_free(A, t), bit for bit.
+    """
+    g = A.grid
+    axes = tuple(range(1, g.d + 1))
+    spatial = tuple(range(2, g.d + 2))
+    lhat = np.fft.fftn(A.left, axes=axes)
+    rhat = lhat if A.right is A.left else np.fft.fftn(A.right, axes=axes)
+    step = max(1, _CHUNK_ENTRIES // A.left.size)
+    for i in range(0, len(times), step):
+        phases = np.stack([free_propagator(g, t).symbol for t in times[i:i + step]])[:, None]
+        left = np.fft.ifftn(phases * lhat, axes=spatial)
+        right = left if rhat is lhat else np.fft.ifftn(phases * rhat, axes=spatial)
+        yield left, right
+
+
 def multiply_potential(V: Field, A, side: str = "left") -> DenseOperator:
     """V . A (side='left') or A . V (side='right') as a dense operator."""
     Ad = to_dense(A)

@@ -10,11 +10,13 @@ Draw m uses sample stream m, so tables are identical for any batching of
 the ensemble.  The time window [0, T] is short enough that wavepackets stay
 well inside the periodic box.
 
-The singular experiment's mode densities l_n conj(r_n) are real for
+The singular experiment propagates its factors through the batched free
+flow (linop._free_frames).  Its mode densities l_n conj(r_n) are real for
 Hermitian data, and then each block of draws is one real matrix product (a
 non-Hermitian operator keeps the complex product).  The full and function
 experiments form their phased transforms once and inverse-transform each
-draw's product in place, in buffers they reuse.  The mixed norm takes
+draw's product in place, in buffers they reuse; the full experiment's density
+of symmetric factors is a real sum of squares.  The mixed norm takes
 integer powers up to 4 by repeated multiplication, over chunks of draws small
 enough to stay in cache.  Moments agree with the all-complex evaluation to
 rounding (about 1e-15 relative), not bit for bit.
@@ -33,8 +35,10 @@ from .exponents import full_estimate_check, singular_estimate_exponents
 from .grid import Field, bessel_multiplier, make_grid
 from .linop import (
     LowRankOperator,
+    _CHUNK_ENTRIES,
     _apply_multiplier_stack,
     _conjugate_multiplier,
+    _free_frames,
     add,
     conjugate_free,
     random_low_rank,
@@ -100,11 +104,6 @@ def fit_moment_slope(table: MomentTable, n_boot: int = 200) -> SlopeFit:
         boot[b], _ = _loglog_slope(orders, vals)
     lo, hi = np.percentile(boot, [2.5, 97.5])
     return SlopeFit(slope, intercept, float(lo), float(hi))
-
-
-# The mixed norm works through its draws in chunks of about 2^18 field entries
-# (2 MB real), which stay in cache through its passes; rows do not depend on it.
-_CHUNK_ENTRIES = 2**18
 
 
 def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q) -> np.ndarray:
@@ -192,12 +191,16 @@ def singular_moment_experiment(
 
     times = np.linspace(0.0, T, n_frames)
     modes = np.empty((A.rank, n_frames) + grid.shape, dtype=complex)
-    for k, t in enumerate(times):
-        Bt = conjugate_free(B, t)
-        e = Bt.left * np.conj(Bt.right)
+    k = 0
+    for left, right in _free_frames(B, times):
+        # np.multiply, not *: numpy would elide a large conj temporary by multiplying
+        # into it with the operands swapped, which moves the last bit
+        e = np.multiply(left, np.conj(right))
         if sigma != 0:
-            e = _apply_multiplier_stack(bessel_multiplier(grid, sigma), e, grid)
-        modes[:, k] = e
+            e = _apply_multiplier_stack(bessel_multiplier(grid, sigma),
+                                        e.reshape((-1,) + grid.shape), grid).reshape(e.shape)
+        modes[:, k:k + len(e)] = e.swapaxes(0, 1)
+        k += len(e)
 
     # e_n = l_n conj(r_n) is real to rounding for Hermitian data (imag/real about
     # 1e-15); a non-Hermitian operator keeps its imaginary half
@@ -248,6 +251,8 @@ def full_moment_experiment(
     multiplier and the singular values by independent coefficient draws.
     The phased factor transforms are formed once; each draw multiplies them
     by its multiplier and inverse-transforms in place, in buffers it reuses.
+    For symmetric factors the density sum_n c_n g_n |l_n|^2 is formed in real
+    arithmetic; other factors keep the complex product.
     """
     _check_ensemble(M, T, orders, p=p, q=q, q_hat=q_hat)
     full_estimate_check(p, q, q_hat, min(float(r) for r in orders), d)
@@ -267,8 +272,9 @@ def full_moment_experiment(
     phases = np.exp(-1j * times[:, None] * xi2.reshape(-1)[None]).reshape((n_frames,) + grid.shape)
     cell_stack = np.array([pou.cell_symbol(k) for k in pou.cells])
     lph = lhat[:, None] * phases[None]
-    lt = np.empty_like(lph)
+    lt = np.empty(lph.shape, dtype=complex)
     rph, rt = (None, lt) if symmetric else (rhat[:, None] * phases[None], np.empty_like(lph))
+    flat = lt.reshape(A.rank, -1).view(float)  # interleaved (re, im) of lt
     spatial = tuple(range(2, d + 2))
 
     w = trapezoid_weights(times)
@@ -279,9 +285,13 @@ def full_moment_experiment(
         ell = sample_coefficients(family_ell, len(pou.cells), m)
         R = np.tensordot(ell, cell_stack, axes=(0, 0))
         np.fft.ifftn(np.multiply(lph, R, out=lt), axes=spatial, out=lt)
-        if not symmetric:
+        if symmetric:
+            # rho = sum_n c_n g_n |l_n|^2 is real: the singular values and draws are
+            sq = np.einsum("n,nm,nm->m", A.coeffs.real * g, flat, flat)
+            rho = (sq[0::2] + sq[1::2]).reshape(lt.shape[1:])
+        else:
             np.fft.ifftn(np.multiply(rph, R, out=rt), axes=spatial, out=rt)
-        rho = np.einsum("n,nk...,nk...->k...", A.coeffs * g, lt, np.conj(rt))
+            rho = np.einsum("n,nk...,nk...->k...", A.coeffs * g, lt, np.conj(rt))
         samples[m] = _mixed_norm_batch(rho[None], w, hd, p, q_hat)[0]
 
     meta = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Field, Grid
-from .linop import conjugate_free, density
+from .linop import LowRankOperator, _free_frames, conjugate_free, density
 
 __all__ = [
     "Trajectory",
@@ -90,9 +90,18 @@ def mixed_norm(tr: Trajectory, p: float, q: float) -> float:
 
 
 def density_trajectory(A, times) -> Trajectory:
-    """Frames rho(U(t) A U(-t)); low-rank operators propagate factors only."""
+    """Frames rho(U(t) A U(-t)), equal bit for bit to density(conjugate_free(A, t)).
+
+    A low-rank operator of rank > 0 propagates its factors only, through the
+    batched free flow _free_frames (one forward transform, one batched inverse
+    per chunk of frames); dense and rank-0 operators go frame by frame.
+    """
     times = np.asarray(times, dtype=float)
-    return Trajectory(times, [density(conjugate_free(A, t)) for t in times])
+    if not isinstance(A, LowRankOperator) or A.rank == 0:
+        return Trajectory(times, [density(conjugate_free(A, t)) for t in times])
+    frames = [density(LowRankOperator(A.grid, A.coeffs, lt, rt))
+              for left, right in _free_frames(A, times) for lt, rt in zip(left, right)]
+    return Trajectory(times, frames)
 
 
 def empirical_moment(

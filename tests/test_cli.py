@@ -266,6 +266,9 @@ _BAD_INPUTS = [
     ("hartree linearized", {("run", "c0"): "nan"}, "c0 must be finite, got nan"),
     ("hartree linearized", {("run", "c0"): "inf"}, "c0 must be finite, got inf"),
     ("hartree scatter", {("run", "c0"): "nan"}, "c0 must be finite, got nan"),
+    # 100001 frames at N = 262144: 6 frequency stacks of 419 GB each
+    ("hartree linearized", {("grid", "n"): "512", ("run", "t"): "100", ("run", "dt"): "1e-3"},
+     "linearized_solve would hold about 2516.6 GB"),
     ("hartree scatter", {("grid", "d"): "1"}, "the scattering exponent 2d/(d-1) needs d >= 2, got d = 1"),
     ("hartree scatter", {("run", "n_rungs"): "-1"}, "n_rungs must be >= 3, got -1"),
     ("hartree scatter", {("run", "n_rungs"): "0"}, "n_rungs must be >= 3, got 0"),

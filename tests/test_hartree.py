@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -327,6 +328,87 @@ def test_linearized_solve_converges_under_dt_refinement():
     assert order >= 1.9
 
 
+# The march (a direct sum) and the residual convolution (an FFT along time)
+# against the causal trapezoid sum written out.  K = 3, 5, 11, 17 and 257 are
+# primes, for which 2K is not 5-smooth.
+_MARCH_BACKGROUNDS = {
+    1: make_background(make_grid(1, 16, 16.0), "gaussian", "delta", f_scale=0.1),
+    2: make_background(make_grid(2, 8, 16.0), "gaussian", "delta", f_scale=0.1),
+}
+_march_settings = settings(max_examples=25, deadline=None)
+_march_cases = dict(
+    d=st.sampled_from([1, 2]),
+    K=st.sampled_from([2, 3, 5, 11, 17, 257]),
+    dt=st.sampled_from([1 / 16, 0.05, 0.03]),
+    c0=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _naive_lag_sum(G, x, k, dt):
+    """sum_{j<k} w_j G[k-j] x[j] with w_0 = dt/2, w_j = dt (G[0] = 0 drops j = k)."""
+    acc = np.zeros(x.shape[1:], dtype=complex)
+    for j in range(k):
+        acc += (dt / 2 if j == 0 else dt) * G[k - j] * x[j]
+    return acc
+
+
+def _frequency_input(bg, K, seed):
+    rng = np.random.default_rng(seed)
+    shape = (K,) + bg.grid.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@_march_settings
+@given(**_march_cases)
+def test_march_matches_the_trapezoid_recursion(d, K, dt, c0, seed):
+    bg = _MARCH_BACKGROUNDS[d]
+    src = _frequency_input(bg, K, seed)
+    G = hartree._l1_kernel_stack(bg, K, dt)
+    ref = np.empty_like(src)
+    for k in range(K):
+        ref[k] = src[k] - c0 * _naive_lag_sum(G, ref, k, dt)
+    got = hartree._march_density(bg, dt * np.arange(K), src, c0)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@_march_settings
+@given(**_march_cases)
+def test_l1_convolve_matches_the_causal_sum(d, K, dt, c0, seed):
+    bg = _MARCH_BACKGROUNDS[d]
+    x = _frequency_input(bg, K, seed)
+    G = hartree._l1_kernel_stack(bg, K, dt)
+    ref = np.stack([c0 * _naive_lag_sum(G, x, k, dt) for k in range(K)])
+    got = hartree._l1_convolve(bg, dt * np.arange(K), x, c0)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_march_rejects_a_bad_c0_and_reports_divergence():
+    bg = _MARCH_BACKGROUNDS[1]
+    times = 0.05 * np.arange(5)
+    src = _frequency_input(bg, 5, 0)
+    for c0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="c0 must be finite"):
+            hartree._march_density(bg, times, src, c0)
+    with pytest.raises(RuntimeError, match="linearized marching diverged"):
+        hartree._march_density(bg, times, src, 1e12)
+
+
+def test_l1_convolve_holds_less_than_two_stacks():
+    g = make_grid(2, 64, 32.0)
+    bg = make_background(g, "gaussian", "delta", f_scale=0.1)
+    K, dt = 257, 1 / 16
+    x = _frequency_input(bg, K, 0)
+    hartree._l1_kernel_stack(bg, K, dt)  # the memo's stack, built once per (grid, K, dt)
+    tracemalloc.start()
+    try:
+        hartree._l1_convolve(bg, dt * np.arange(K), x, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
+
+
 def test_dense_paths_refuse_a_problem_larger_than_memory(monkeypatch):
     g = make_grid(1, 32, 16.0)
     bg = make_background(g, "gaussian", "delta")
@@ -342,13 +424,19 @@ def test_dense_paths_refuse_a_problem_larger_than_memory(monkeypatch):
         lambda: scattering_diagnostic(Q0, bg, 0.16, 0.01, c0=2.0, alpha_sc=4.0),
         lambda: calibrate_l1_constant(bg),
     ]
-    # a host with one page of physical memory
-    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.get)
+    # a host with 7 pages (28 KB) of physical memory: less than two dense 32x32
+    # kernels (32 KB), more than the march's 6 (5, 32) frequency stacks (15 KB)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 7}.get)
     for call in dense_paths:
         with pytest.raises(ValueError, match=r"GB .* of physical memory"):
             call()
     # the frequency-domain linearized solve holds no dense kernel
     assert linearized_solve(Q0, bg, 0.04, 0.01, c0=2.0).residual <= 1e-8
+    # with one page it refuses too, before it allocates its stacks
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.get)
+    with pytest.raises(ValueError, match=r"linearized_solve would hold .* frequency stacks"
+                                         r".* of physical memory"):
+        linearized_solve(Q0, bg, 0.04, 0.01, c0=2.0)
 
 
 def test_scattering_trivial_without_background():

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from hartreelab import linop
 from hartreelab.grid import Field, free_propagate, make_grid
-from hartreelab.linop import density, random_low_rank
+from hartreelab.linop import (
+    LowRankOperator,
+    conjugate_free,
+    density,
+    random_low_rank,
+    recompress,
+    to_dense,
+)
 from hartreelab.norms import (
     MomentTable,
     Trajectory,
@@ -79,6 +87,26 @@ def test_density_trajectory_lowrank_matches_direct():
     # density is conserved in total mass under the free flow
     masses = [g.h * np.sum(f.values).real for f in tr.frames]
     assert np.max(np.abs(np.diff(masses))) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric", "recompressed", "rank0", "dense"])
+@pytest.mark.parametrize("frames_per_chunk", [3, None])
+def test_density_trajectory_is_the_per_frame_free_flow_bit_for_bit(
+        monkeypatch, d, n, kind, frames_per_chunk):
+    g = make_grid(d, n, 12.0)
+    A = random_low_rank(g, 3, np.random.default_rng(d), hermitian=kind != "nonsymmetric")
+    if kind == "recompressed":  # distinct factor arrays in a transposed layout
+        A = recompress(A, tol=0.0)
+    elif kind == "rank0":
+        A = LowRankOperator(g, np.zeros(0), np.zeros((0,) + g.shape), np.zeros((0,) + g.shape))
+    elif kind == "dense":
+        A = to_dense(A)
+    if frames_per_chunk:
+        monkeypatch.setattr(linop, "_CHUNK_ENTRIES", frames_per_chunk * 3 * g.npoints)
+    times = 0.037 * np.arange(7)  # with 3 frames per chunk: chunks of 3, 3 and 1
+    for t, frame in zip(times, density_trajectory(A, times).frames):
+        assert np.array_equal(frame.values, density(conjugate_free(A, t)).values)
 
 
 def test_empirical_moment_closed_form():
