@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import ctypes
 import json
 import os
 import platform
@@ -181,20 +182,36 @@ def _write_csv(path: str, header: list, rows: list):
                          for x in row])
 
 
+def _openblas_core():
+    """The kernel the loaded OpenBLAS runs (e.g. "SkylakeX"), or None without one."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for handle in map(ctypes.CDLL, libs):
+            for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                        "openblas_get_corename"):
+                fn = getattr(handle, sym, None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [], ctypes.c_char_p
+                    return fn().decode()
+    except OSError:  # no /proc/self/maps (not Linux), or a library that does not load
+        pass
+    return None
+
+
 def _env_fingerprint() -> dict:
-    """Interpreter, numpy and BLAS build, and core count of the running host.
+    """Interpreter, numpy and BLAS build, BLAS kernel and core count of the running host.
 
     The last bit of a BLAS reduction depends on the kernel the BLAS picks for
-    the CPU, so a byte mismatch between two hosts' outputs is traced from here.
+    the CPU (``blas.core``, not the build string), so a byte mismatch between
+    two hosts' outputs is traced from here.
     """
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
-        blas = {}
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas") or {}
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
+        | {"core": _openblas_core()},
         "cores": os.cpu_count(),
     }
 
@@ -321,20 +338,11 @@ def _cmd_strichartz(args) -> int:
         out_dir, f"strichartz {args.kind}", _cfg_dict(cp), seed, [csv_path],
         "ok", t0,
         extra={"slope": fit.slope, "slope_ci": [fit.ci_low, fit.ci_high],
-               "meta": {k: v for k, v in table.meta.items() if k not in ("family",
-                        "family_g", "family_ell")} | _families_of(table)},
+               "meta": table.meta},
     )
     print(f"slope = {fit.slope:.4f}  95% CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}]")
     print(f"wrote {csv_path} and {rec_path}")
     return EXIT_OK
-
-
-def _families_of(table) -> dict:
-    out = {}
-    for k in ("family", "family_g", "family_ell"):
-        if k in table.meta:
-            out[k] = table.meta[k]
-    return out
 
 
 def _cmd_hartree(args) -> int:

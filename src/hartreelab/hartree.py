@@ -17,7 +17,9 @@ against the real kernel stack of _l1_kernel_stack, taken two ways on purpose:
 _march_density solves with it as a direct sum over contiguous views of the
 history, and _l1_convolve (behind l1_apply_fourier and the solve's residual)
 applies it as one zero-padded FFT convolution along time, so the residual is
-an independent check of the march.
+an independent check of the march.  scattering_diagnostic runs on the
+density of linearized_solve, which holds the one c0 default (calibrated, or
+0 when f or w vanishes).
 
 The accumulator works in the momentum basis.  With F the unitary DFT on
 the flattened grid (numpy's norm="ortho"), a dense kernel K is carried as
@@ -211,11 +213,11 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
 _ACCUMULATOR_KERNELS = 7
 
 
-# (frames, N) complex stacks the frequency-domain march holds: the source
-# density frames, source_hat, rho_hat, the real kernel stack G (half a stack),
-# its reversed interleaved copy and the weighted history.  tracemalloc peak of
-# linearized_solve with c0 given, 257 frames: 5.5 stacks at d=2, N = 4096; 6.6 at
-# N = 1024, where the free flow's fixed 4 MB chunk is one more stack.
+# (frames, N) complex stacks the frequency-domain march holds: source_hat,
+# rho_hat, the real kernel stack G (half a stack), its reversed interleaved copy
+# and the weighted history.  tracemalloc peak of linearized_solve with c0 given,
+# 257 frames: 4.5 stacks at d=2, N = 4096; 5.6 at N = 1024, where the free flow's
+# fixed 4 MB chunk is one more stack.
 _MARCH_STACKS = 6
 
 
@@ -538,7 +540,6 @@ def picard_solve(
     tol: float = 1e-9,
     scheme: str = "d1",
     max_halvings: int = 8,
-    max_sweeps: int = 80,
 ) -> HartreeRun:
     """Local solution of the perturbed Hartree flow by Picard iteration.
 
@@ -578,15 +579,15 @@ def picard_solve(
 
         history = []
         converged = False
-        for sweep in range(max_sweeps):
+        for _ in range(80):  # sweeps per window before it counts as not contracting
             Qnew = []
             for _, t, W in _duhamel_accumulate(g, times, dt, commutator):
                 S = K0hat + W
                 Qnew.append(_x_frame(S, g, t, out=S))
             delta = max(_kernel_s2(Qnew[k] - Q[k], g) for k in range(nfr))
-            rho_delta = Trajectory(
+            rho_delta = Trajectory(  # from the two diagonals: no second N x N difference
                 times,
-                [Field(g, np.real(np.diagonal(Qnew[k] - Q[k]).reshape(g.shape)))
+                [Field(g, np.real(np.diagonal(Qnew[k]) - np.diagonal(Q[k])).reshape(g.shape))
                  for k in range(nfr)],
             )
             delta += _data_norm(bg, rho_delta, scheme)
@@ -751,13 +752,12 @@ def calibrate_l1_constant(
     dt: float = 0.05,
     n_probes: int = 4,
     seed: int = 3,
-    max_residual: float = 1e-6,
 ) -> CalibrationResult:
     """Least-squares scalar fit of the frequency-domain L1 to the direct path.
 
     The fitted c0 is a single constant of the Fourier convention; the
     residual bounds the relative mismatch after the fit and the fit aborts
-    if it exceeds max_residual (inconsistent conventions).
+    if it exceeds 1e-6 (inconsistent conventions).
     """
     _check_positive("dt", dt)
     if n_frames < 2:
@@ -792,9 +792,9 @@ def calibrate_l1_constant(
         resid_den += float(np.linalg.norm(D) ** 2)
     residual = float(np.sqrt(resid_num / resid_den))
     imag = abs(c0c.imag) / max(abs(c0c), 1e-300)
-    if residual > max_residual:
+    if residual > 1e-6:
         raise RuntimeError(
-            f"L1 calibration residual {residual:.3e} exceeds {max_residual:.1e}; "
+            f"L1 calibration residual {residual:.3e} exceeds 1.0e-06; "
             "transform conventions are inconsistent"
         )
     return CalibrationResult(c0=float(c0c.real), residual=residual, imag=imag)
@@ -808,7 +808,6 @@ def calibrate_l1_constant(
 class LinearizedRun:
     times: np.ndarray
     rho_frames: list
-    source_frames: list
     residual: float
     c0: float
 
@@ -911,15 +910,18 @@ def linearized_solve(
     """Global solve of the linearized flow via (1 + L1)^{-1} time-marching.
 
     Returns the density; Q(t_k) itself is conjugate_free(Q0, t_k) plus
-    duhamel_series(Trajectory(times, w * rho), bg)[k].
+    duhamel_series(Trajectory(times, w * rho), bg)[k].  c0 None is calibrated,
+    or 0.0 where f or w_hat vanishes (L1 is zero there, and the calibration
+    refuses it).
     """
     g = bg.grid
     times = _uniform_times(T, dt)
     _check_memory(g, "linearized_solve", stacks=_MARCH_STACKS, frames=len(times))
     if c0 is None:
-        c0 = calibrate_l1_constant(bg).c0
-    src_traj = density_trajectory(Q0, times)
-    source_hat = np.stack([np.fft.fftn(np.real(fr.values)) for fr in src_traj.frames])
+        vanishes = not (np.any(bg.f.symbol) and np.any(bg.w_hat.symbol))
+        c0 = 0.0 if vanishes else calibrate_l1_constant(bg).c0
+    source_hat = np.stack([np.fft.fftn(np.real(fr.values))
+                           for fr in density_trajectory(Q0, times).frames])
     rho_hat = _march_density(bg, times, source_hat, c0)
     resid = _l1_convolve(bg, times, rho_hat, c0)
     resid += rho_hat
@@ -927,10 +929,7 @@ def linearized_solve(
     src_scale = float(np.linalg.norm(source_hat))
     residual = float(np.linalg.norm(resid) / src_scale) if src_scale > 0 else 0.0
     rho_frames = [Field(g, np.real(np.fft.ifftn(rho_hat[k]))) for k in range(len(times))]
-    return LinearizedRun(
-        times=times, rho_frames=rho_frames, source_frames=list(src_traj.frames),
-        residual=residual, c0=float(c0),
-    )
+    return LinearizedRun(times=times, rho_frames=rho_frames, residual=residual, c0=float(c0))
 
 
 @dataclass
@@ -952,16 +951,16 @@ def scattering_diagnostic(
     alpha_sc: float | None = None,
     n_rungs: int = 4,
     c0: float | None = None,
-    decay_factor: float = 0.9,
 ) -> ScatteringReport:
     """Cauchy consistency of the interaction-picture operator on a dyadic ladder.
 
     W(t) = Q0 - i int_0^t U(-tau) [w*rho(tau), gamma_f] U(tau) dtau along the
-    linearized flow; successive ladder distances ||W(t_{i+1}) - W(t_i)|| in
-    S^alpha must each shrink by the decay factor for a "scattering" verdict.
-    The n_rungs >= 3 rungs T / 2^(n_rungs - i) give at least two distances to
-    compare.  Each distance is taken as its rung arrives, from the one kept
-    previous rung; at alpha = 4 it is the Gram form of _kernel_schatten.
+    linearized flow, rho = linearized_solve(Q0, bg, T, dt, c0).rho_frames;
+    successive ladder distances ||W(t_{i+1}) - W(t_i)|| in S^alpha must each
+    shrink by a factor 0.9 for a "scattering" verdict.  The n_rungs >= 3 rungs
+    T / 2^(n_rungs - i) give at least two distances to compare.  Each distance
+    is taken as its rung arrives, from the one kept previous rung; at alpha = 4
+    it is the Gram form of _kernel_schatten.
     """
     g = bg.grid
     if n_rungs < 3:
@@ -979,23 +978,16 @@ def scattering_diagnostic(
     # the accumulator, the previous rung, and the Gram blocks or the SVD's copies:
     # peak RSS over the call is 4.5 kernels at alpha = 4 (d=2, N = 1024), 5.5 and 6.1
     # at alpha = 3 (d=2, N = 1024; d=3, N = 512), 7.0 in the implicit calibration;
-    # the march before the ladder holds the frequency stacks
+    # linearized_solve's march before the ladder holds the frequency stacks
     _check_memory(g, "scattering_diagnostic", kernels=_ACCUMULATOR_KERNELS,
                   stacks=_MARCH_STACKS, frames=len(times))
-    if c0 is None:
-        zero_bg = (np.max(np.abs(bg.f.symbol)) == 0) or (np.max(np.abs(bg.w_hat.symbol)) == 0)
-        c0 = 0.0 if zero_bg else calibrate_l1_constant(bg).c0
-
-    src_traj = density_trajectory(Q0, times)
-    source_hat = np.stack([np.fft.fftn(np.real(fr.values)) for fr in src_traj.frames])
-    rho_hat = _march_density(bg, times, source_hat, c0)
-    rho_frames = [np.real(np.fft.ifftn(rho_hat[k])) for k in range(len(times))]
+    rho_frames = linearized_solve(Q0, bg, T, dt, c0=c0).rho_frames
 
     ladder = np.array([T / 2 ** (n_rungs - i) for i in range(1, n_rungs + 1)])
     rungs = {_times_index(times, t) for t in ladder}
 
     # The rungs stay momentum kernels: the S^alpha distances are unitarily invariant.
-    commutator = _background_commutator(bg, lambda k: _flat_potential(bg, rho_frames[k]))
+    commutator = _background_commutator(bg, lambda k: _flat_potential(bg, rho_frames[k].values))
     prev, dists = None, []
     for k, _, W in _duhamel_accumulate(g, times, dt, commutator):
         if k not in rungs:
@@ -1012,7 +1004,7 @@ def scattering_diagnostic(
         ok = True
         verdict = "trivial (free evolution)"
     else:
-        ok = bool(np.all(dists[1:] <= decay_factor * dists[:-1]))
+        ok = bool(np.all(dists[1:] <= 0.9 * dists[:-1]))
         verdict = "Cauchy-consistent" if ok else "no scattering at this horizon"
     return ScatteringReport(
         checkpoint_times=ladder, distances=dists, alpha=float(alpha_sc),

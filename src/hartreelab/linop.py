@@ -115,10 +115,6 @@ class SchattenReport:
     singular_values: np.ndarray
 
 
-def _flat(a: np.ndarray, grid: Grid) -> np.ndarray:
-    return a.reshape(a.shape[0], grid.npoints) if a.ndim > 1 else a.reshape(1, -1)
-
-
 def density(A) -> Field:
     """Diagonal of the integral kernel, rho_A(x) = A(x, x)."""
     g = A.grid
@@ -465,15 +461,14 @@ def random_low_rank(
     rng: np.random.Generator,
     hermitian: bool = False,
     coeffs: np.ndarray | None = None,
-    freq_decay: float = 2.0,
 ) -> LowRankOperator:
     """Random smooth low-rank operator in singular-value form.
 
     Factors are frequency-localized gaussian draws, smoothed by the envelope
-    (1+|xi|^2)^{-freq_decay/2} so Sobolev conjugations stay well conditioned.
+    (1+|xi|^2)^{-1} so Sobolev conjugations stay well conditioned.
     """
     _check_rank(grid, rank)
-    env = (1.0 + grid.xi_squared()) ** (-freq_decay / 2.0)
+    env = (1.0 + grid.xi_squared()) ** -1.0
     w = np.sqrt(grid.h**grid.d)
 
     def draw_stack():
@@ -498,16 +493,16 @@ def localized_low_rank(
     rank: int,
     rng: np.random.Generator,
     width: float = 1.0,
-    max_freq: float = 0.5,
     hermitian: bool = True,
     coeffs: np.ndarray | None = None,
 ) -> LowRankOperator:
     """Low-rank operator built from wavepackets centered in the box.
 
     Factors are a gaussian envelope times random low-degree polynomials and
-    a slow modulation, so free evolution genuinely disperses them (unlike
-    the delocalized draws of random_low_rank).  Factor families are
-    orthonormalized in the weighted inner product.
+    a slow modulation (frequency uniform in [-1/2, 1/2] per axis), so free
+    evolution genuinely disperses them (unlike the delocalized draws of
+    random_low_rank).  Factor families are orthonormalized in the weighted
+    inner product.
     """
     _check_rank(grid, rank)
     xm = grid.x_mesh()
@@ -522,7 +517,7 @@ def localized_low_rank(
         for j in range(rank):
             c = rng.standard_normal(len(monomials)) + 1j * rng.standard_normal(len(monomials))
             poly = sum(cj * mj for cj, mj in zip(c, monomials))
-            xi0 = rng.uniform(-max_freq, max_freq, size=grid.d)
+            xi0 = rng.uniform(-0.5, 0.5, size=grid.d)
             stack[j] = env * poly * np.exp(1j * sum(xi0[a] * xm[a] for a in range(grid.d)))
         Q, _ = np.linalg.qr(w * stack.reshape(rank, -1).T)
         return Q.T.reshape((rank,) + grid.shape) / w

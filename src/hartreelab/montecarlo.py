@@ -45,7 +45,7 @@ from .linop import (
     recompress,
     schatten_norm,
 )
-from .norms import MomentTable, Trajectory, mixed_norm, trapezoid_weights
+from .norms import _BOOTSTRAP_DRAWS, MomentTable, Trajectory, mixed_norm, trapezoid_weights
 from .randomize import PartitionOfUnity, SubgaussianFamily, sample_coefficients
 
 __all__ = [
@@ -79,7 +79,7 @@ def _loglog_slope(orders: np.ndarray, values: np.ndarray) -> tuple:
     return float(sol[0]), float(sol[1])
 
 
-def fit_moment_slope(table: MomentTable, n_boot: int = 200) -> SlopeFit:
+def fit_moment_slope(table: MomentTable) -> SlopeFit:
     """Slope of the moment curve; CI by resampling the raw ensemble.
 
     Flat (draw-independent) ensembles get slope 0 with a zero-width
@@ -97,8 +97,8 @@ def fit_moment_slope(table: MomentTable, n_boot: int = 200) -> SlopeFit:
     samples = np.asarray(table.samples, dtype=float)
     M = len(samples)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=table.seed, spawn_key=(0x510,)))
-    boot = np.empty(n_boot)
-    for b in range(n_boot):
+    boot = np.empty(_BOOTSTRAP_DRAWS)
+    for b in range(_BOOTSTRAP_DRAWS):
         s = samples[rng.integers(0, M, size=M)]
         vals = np.array([np.mean(s**r) ** (1.0 / r) for r in orders])
         boot[b], _ = _loglog_slope(orders, vals)

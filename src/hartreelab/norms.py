@@ -104,9 +104,12 @@ def density_trajectory(A, times) -> Trajectory:
     return Trajectory(times, frames)
 
 
-def empirical_moment(
-    samples: np.ndarray, r: float, n_boot: int = 200, rng: np.random.Generator | None = None
-) -> tuple:
+# resamples of every bootstrap: moment standard errors and slope intervals
+_BOOTSTRAP_DRAWS = 200
+
+
+def empirical_moment(samples: np.ndarray, r: float,
+                     rng: np.random.Generator | None = None) -> tuple:
     """((1/M) sum X^r)^{1/r} with a bootstrap standard error."""
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
@@ -117,7 +120,7 @@ def empirical_moment(
     if rng is None:
         rng = np.random.default_rng(0)
     M = len(samples)
-    idx = rng.integers(0, M, size=(n_boot, M))
+    idx = rng.integers(0, M, size=(_BOOTSTRAP_DRAWS, M))
     boot = np.mean(samples[idx] ** r, axis=1) ** (1.0 / r)
     return value, float(np.std(boot))
 
@@ -135,12 +138,12 @@ class MomentTable:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_samples(cls, samples, orders, seed: int, n_boot: int = 200, meta=None):
+    def from_samples(cls, samples, orders, seed: int, meta=None):
         samples = np.asarray(samples, dtype=float)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB00,)))
         vals, errs = [], []
         for r in orders:
-            v, e = empirical_moment(samples, r, n_boot=n_boot, rng=rng)
+            v, e = empirical_moment(samples, r, rng=rng)
             vals.append(v)
             errs.append(e)
         return cls(

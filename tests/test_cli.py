@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartreelab.cli import run
+from hartreelab.cli import _grid_from_config, _initial_operator, _load_config, run
+from hartreelab.norms import density_trajectory, lebesgue_norm
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -103,7 +104,8 @@ def test_record_carries_environment_fingerprint(tmp_path):
                 "--out", str(out)]) == 0
     env = json.loads((out / "record.json").read_text())["env"]
     assert env["numpy"] == np.__version__ and env["cores"] == os.cpu_count()
-    assert set(env["blas"]) == {"name", "version", "openblas configuration"}
+    assert set(env["blas"]) == {"name", "version", "openblas configuration", "core"}
+    assert env["blas"]["core"] is None or isinstance(env["blas"]["core"], str)
 
 
 def test_hartree_picard_matches_golden_at_tolerance(tmp_path):
@@ -208,6 +210,24 @@ def _cli(*argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "hartreelab.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("zero", ["f", "w"])
+def test_linearized_without_response_runs_the_free_flow(tmp_path, zero):
+    # L1 vanishes with f or w, so the default c0 is 0 and rho is the free density
+    cfg = _write(tmp_path / "free.config", HARTREE_CONFIG.format(n=8, t=0.4, dt=0.05)
+                 + f"\n[background]\n{zero} = zero\n")
+    out = tmp_path / "lin"
+    assert run(["hartree", "linearized", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "record.json").read_text())["c0"] == 0.0
+    cp = _load_config(cfg)
+    Q0 = _initial_operator(cp, _grid_from_config(cp))
+    with open(out / "density.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    free = density_trajectory(Q0, 0.05 * np.arange(9))
+    assert len(rows) == len(free.frames)
+    for row, rho in zip(rows, free.frames):
+        assert float(row["rho_l2"]) == pytest.approx(lebesgue_norm(rho, 2), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("action", ["solve", "linearized", "scatter"])

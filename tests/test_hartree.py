@@ -287,6 +287,16 @@ def test_calibration_constant_stable_across_grids():
     assert abs(res2.c0 - results[0]) <= 1e-6
 
 
+@pytest.mark.parametrize("d, n, L", [(1, 32, 16.0), (2, 16, 16.0), (3, 8, 12.0)])
+def test_calibrated_constant_is_two_to_rounding(d, n, L):
+    # criterion 14's grids; the largest deviations seen are about 1e-15
+    g = make_grid(d, n, L)
+    for f in ("gaussian", "fermi-sea"):
+        for w in ("delta", "gaussian"):
+            res = calibrate_l1_constant(make_background(g, f, w))
+            assert abs(res.c0 - 2.0) <= 1e-12 and res.residual <= 1e-12, (f, w, res)
+
+
 def test_calibration_rejects_degenerate_background():
     g = make_grid(1, 32, 16.0)
     with pytest.raises(ValueError):
@@ -307,10 +317,11 @@ def test_linearized_solve_residual_and_consistency():
     for t, rho, D in zip(run.times, run.rho_frames, duhamel_series(V, bg)):
         rho_Q = density(conjugate_free(Q0, t)).values + density(D).values
         assert np.max(np.abs(rho_Q - rho.values)) <= 1e-10 * rho_max
-    # fixed-point cross-check: rho = source - L1[rho]
+    # fixed-point cross-check: rho = source - L1[rho], the source being the free density
     rho_tr = Trajectory(run.times, run.rho_frames)
     L1rho = l1_apply_fourier(rho_tr, bg, run.c0)
-    for rho, src, lr in zip(run.rho_frames, run.source_frames, L1rho.frames):
+    source = density_trajectory(Q0, run.times).frames
+    for rho, src, lr in zip(run.rho_frames, source, L1rho.frames):
         err = np.max(np.abs(rho.values + np.real(lr.values) - np.real(src.values)))
         assert err < 1e-10 * max(1.0, np.max(np.abs(src.values)))
 
