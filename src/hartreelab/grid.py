@@ -14,7 +14,7 @@ apply_multiplier reduces to plain FFTs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -85,7 +85,14 @@ class Grid:
         return list(np.meshgrid(*([self.xi_axis] * self.d), indexing="ij"))
 
     def xi_squared(self) -> np.ndarray:
-        return sum(x**2 for x in self.xi_mesh())
+        """|xi|^2 on the frequency mesh: built once per grid, read-only."""
+        return self._xi_squared
+
+    @cached_property
+    def _xi_squared(self) -> np.ndarray:
+        xi2 = sum(x**2 for x in self.xi_mesh())
+        xi2.flags.writeable = False
+        return xi2
 
     def _phase(self) -> np.ndarray:
         # e^{-i xi x0} per axis, x0 = -L/2; product over axes.

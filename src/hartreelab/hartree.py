@@ -40,8 +40,12 @@ a fresh commutator kernel becomes its own momentum kernel, a frame the
 caller keeps is phased and transformed in the one array it returns
 (_x_frame), and the direct L1, which keeps only diagonals, runs every frame
 through one scratch kernel.  The bits are those of the allocating forms.  The
-scattering ladder keeps one previous rung and takes each S^4 distance in the
-Gram form ||A||_4^4 = ||A^* A||_F^2 (linop._kernel_schatten), not by an SVD.
+Picard sweep owns its buffers the same way: it holds one trajectory and
+overwrites frame k in place once the accumulator has read it, building each
+commutator in one of two buffers that alternate, and a halved window's free
+flow is written over the same frames.  The scattering ladder keeps one previous
+rung and takes each S^4 distance in the Gram form ||A||_4^4 = ||A^* A||_F^2
+(linop._kernel_schatten), not by an SVD.
 
 Each dense path (the nonlinear solver, the oracle, the direct L1, scattering)
 first counts the N x N kernels it will hold, and the linear-response march the
@@ -213,6 +217,13 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
 _ACCUMULATOR_KERNELS = 7
 
 
+# N x N kernels picard_solve holds besides its one trajectory: K0hat, gamma_f, the
+# spare frame, two commutator buffers, the real potential difference (half a
+# kernel) and the running integral.  tracemalloc peak: frames + 6.9 at d=2, N = 256
+# (51 frames; 6.7 on a window halved from 17), frames + 6.6 at d=3, N = 512 (21 frames)
+_PICARD_KERNELS = 7
+
+
 # (frames, N) complex stacks the frequency-domain march holds: source_hat,
 # rho_hat, the real kernel stack G (half a stack), its reversed interleaved copy
 # and the weighted history.  tracemalloc peak of linearized_solve with c0 given,
@@ -362,9 +373,11 @@ def _duhamel_accumulate(grid: Grid, times: np.ndarray, steps, commutator):
     C = [V, A], U(t_k) W_k U(-t_k) is the momentum kernel of the Duhamel term
     D_V[A](t_k).
 
-    The accumulator owns its buffers: commutator(k) must return a new array,
-    which is phased in place, and W_k is one array updated in place, so it is
-    overwritten at the next step.  A caller that keeps a W_k copies it.
+    The accumulator owns its buffers: commutator(k) returns an array that is
+    phased in place and kept through step k + 1, so it must be a new array or
+    one of two buffers used in turn.  commutator(k) runs before W_k is yielded.
+    W_k is one array updated in place, so it is overwritten at the next step;
+    a caller that keeps a W_k copies it.
     """
     steps = np.broadcast_to(steps, (len(times) - 1,))
     W = np.zeros((grid.npoints, grid.npoints), dtype=complex)
@@ -547,6 +560,10 @@ def picard_solve(
     regenerated each sweep; halves the window whenever the recorded deltas
     stop contracting (ratio >= 0.9) and reports the achieved T.  A halved
     window off the dt grid or under 4 steps means no contraction (RuntimeError).
+
+    The solve holds one trajectory plus _PICARD_KERNELS working kernels, which
+    is what _check_memory counts: a sweep writes each new frame over the old
+    one once that frame's deltas are taken, through one spare kernel.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}")
@@ -554,45 +571,46 @@ def picard_solve(
     g = bg.grid
     T = float(T_target)
     times = _uniform_times(T, dt)
-    # the iterate and the next iterate, frame by frame, and the sweep's working set:
-    # tracemalloc measures 2 x frames + 8 kernels; halving only shrinks them
-    _check_memory(g, "picard_solve", kernels=2 * len(times) + 8)
+    _check_memory(g, "picard_solve", kernels=len(times) + _PICARD_KERNELS)
     K0 = to_dense(Q0).kernel
     if np.linalg.norm(K0 - np.conj(K0).T) > 1e-8 * max(np.linalg.norm(K0), 1e-300):
         raise ValueError("initial data must be self-adjoint")
+    q0_s2 = _kernel_s2(K0, g)
     K0hat = _to_mom(K0, g)
+    del K0
     kf = gamma_f_kernel(bg)
+    N = g.npoints
+    spare = np.empty((N, N), dtype=complex)  # the next frame, swapped with the one it replaces
+    vdiff = np.empty((N, N))  # v(x) - v(y)
+    cbufs = (np.empty((N, N), dtype=complex), np.empty((N, N), dtype=complex))
 
-    def commutator(k):  # [V, Q + gamma_f] on the current sweep's x-space iterate Q
-        C = _commutator_kernel(_kernel_potential(bg, Q[k]), Q[k] + kf)
+    def commutator(k):  # [V, Q + gamma_f] on frame k of the iterate, before the sweep replaces it
+        # the accumulator keeps step k - 1's integrand in the other buffer until step k is done
+        C = np.add(Q[k], kf, out=cbufs[k % 2])
+        _commutator_kernel(_kernel_potential(bg, Q[k]), C, out=C, diff=vdiff)
         return _to_mom(C, g, out=C)
 
+    # the first iterate is the free flow U(t) Q0 U(-t)
+    Q = [_x_frame(K0hat, g, t) for t in times]
     for halving in range(max_halvings + 1):
-        nfr = len(times)
-        # the first iterate is the free flow U(t) Q0 U(-t)
-        Q = [_x_frame(K0hat, g, t) for t in times]
-        rho_free = Trajectory(times, [Field(g, np.real(np.diagonal(Kt).reshape(g.shape)))
-                                      for Kt in Q])
-        data_norm = _data_norm(bg, rho_free, scheme)
-        q0_s2 = _kernel_s2(K0, g)
+        data_norm = _data_norm(bg, Trajectory(times, [
+            Field(g, np.real(np.diagonal(Kt).reshape(g.shape))) for Kt in Q]), scheme)
         R = 2.0 * (q0_s2 + data_norm)
 
         history = []
         converged = False
         for _ in range(80):  # sweeps per window before it counts as not contracting
-            Qnew = []
-            for _, t, W in _duhamel_accumulate(g, times, dt, commutator):
-                S = K0hat + W
-                Qnew.append(_x_frame(S, g, t, out=S))
-            delta = max(_kernel_s2(Qnew[k] - Q[k], g) for k in range(nfr))
-            rho_delta = Trajectory(  # from the two diagonals: no second N x N difference
-                times,
-                [Field(g, np.real(np.diagonal(Qnew[k]) - np.diagonal(Q[k])).reshape(g.shape))
-                 for k in range(nfr)],
-            )
-            delta += _data_norm(bg, rho_delta, scheme)
+            s2_deltas, rho_delta = [], []
+            for k, t, W in _duhamel_accumulate(g, times, dt, commutator):
+                new = _x_frame(np.add(K0hat, W, out=spare), g, t, out=spare)
+                # commutator(k) has read the old frame: it now holds the difference
+                old = np.subtract(new, Q[k], out=Q[k])
+                s2_deltas.append(_kernel_s2(old, g))
+                rho_delta.append(Field(g, np.real(np.diagonal(old)).reshape(g.shape)))  # Field copies
+                Q[k], spare = new, old
+            del W  # else it lives on beside the next sweep's integral
+            delta = max(s2_deltas) + _data_norm(bg, Trajectory(times, rho_delta), scheme)
             history.append(delta)
-            Q = Qnew
             if not np.isfinite(delta):
                 break
             if delta <= tol * max(1.0, R):
@@ -612,6 +630,10 @@ def picard_solve(
             times = _uniform_times(T, dt)
         except ValueError:  # the halved window is off the dt grid or under 4 steps
             raise RuntimeError("no contraction at this resolution") from None
+        # the shorter window restarts from its free flow, written over the first frames
+        del Q[len(times):]
+        for k, t in enumerate(times):
+            _x_frame(K0hat, g, t, out=Q[k])
     raise RuntimeError("no contraction at this resolution")
 
 
@@ -628,8 +650,8 @@ def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun
         lap = _kernel_left_mult(xi2, K, g) - _kernel_right_mult(xi2, K, g)
         return -1j * (lap + _commutator_kernel(_kernel_potential(bg, K), K + kf))
 
-    K = to_dense(Q0).kernel.copy()
-    frames = [K.copy()]
+    K = to_dense(Q0).kernel  # a new array, rebound (never written) by each step
+    frames = [K]
     for _ in range(len(times) - 1):
         k1 = rhs(K)
         k2 = rhs(K + dt / 2 * k1)
@@ -638,7 +660,7 @@ def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun
         K = K + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(K)):
             raise RuntimeError("oracle diverged")
-        frames.append(K.copy())
+        frames.append(K)
     rho_frames = [Field(g, np.real(np.diagonal(Kt).reshape(g.shape))) for Kt in frames]
     return HartreeRun(
         times=times, Q_frames=frames, rho_frames=rho_frames, T=T, dt=dt,
@@ -1065,5 +1087,6 @@ def randomized_lwp_pipeline(
             "max_ratio": max(ratios) if ratios else 0.0,
             "R": run.R,
         })
+        del run  # no draw's trajectory stays alive while the next draw solves
         records.append(rec)
     return records

@@ -244,10 +244,10 @@ def test_bad_time_grid_is_a_validation_error(tmp_path, action, key, value):
 
 
 def test_picard_refuses_a_solve_larger_than_memory(tmp_path):
-    # 10001 frames of 1024^2 complex entries: Picard holds 2 stacks plus 8 working
-    # kernels (about 336 GB), the RK4 oracle 1 stack plus 10 working kernels (about 168 GB)
+    # 10001 frames of 1024^2 complex entries: Picard holds 1 stack plus 7 working
+    # kernels (10008 kernels), the RK4 oracle 1 stack plus 10 working kernels (10011)
     base = HARTREE_CONFIG.format(n=32, t=10.0, dt=1e-3)
-    for extra, estimate in (("", "335.7 GB"), ("oracle = yes\n", "168.0 GB")):
+    for extra, estimate in (("", "167.9 GB"), ("oracle = yes\n", "168.0 GB")):
         cfg = _write(tmp_path / "huge.config", base + extra)
         res = _cli("hartree", "solve", "--config", cfg, "--out", str(tmp_path / "o"))
         assert res.returncode == 1

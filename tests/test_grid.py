@@ -103,6 +103,18 @@ def test_multiplier_from_function_matches_symbol():
     assert np.max(np.abs(m.symbol - g.xi_squared())) == 0.0
 
 
+def test_xi_squared_is_built_once_and_read_only():
+    g = make_grid(3, 8, 10.0)
+    xi2 = g.xi_squared()
+    assert xi2 is g.xi_squared() and not xi2.flags.writeable
+    kx, ky, kz = g.xi_mesh()
+    assert np.array_equal(xi2, kx**2 + ky**2 + kz**2)
+    with pytest.raises(ValueError):
+        xi2 += 1.0
+    # the cached array is not part of the grid's value
+    assert g == make_grid(3, 8, 10.0) and hash(g) == hash(make_grid(3, 8, 10.0))
+
+
 def test_convolution_with_delta_is_identity():
     g = make_grid(1, 32, 12.0)
     rng = np.random.default_rng(3)

@@ -157,6 +157,115 @@ def test_picard_reports_no_contraction_for_strong_coupling():
         picard_solve(Q0, bg, 0.064, 1e-3, max_halvings=2)
 
 
+def _two_list_picard(Q0, bg, T, dt, tol, scheme):
+    """Picard iteration that keeps the old and the new iterate as two lists.
+
+    The reference for the in-place sweep: the same map, built from the
+    accumulator and allocating basis changes, with nothing overwritten.
+    """
+    g = bg.grid
+    times = hartree._uniform_times(T, dt)
+    K0 = to_dense(Q0).kernel
+    K0hat = _to_mom(K0, g)
+    kf = gamma_f_kernel(bg)
+
+    def rho(frames):
+        return [Field(g, np.real(np.diagonal(K).reshape(g.shape))) for K in frames]
+
+    def commutator(k):
+        C = _commutator_kernel(hartree._kernel_potential(bg, Q[k]), Q[k] + kf)
+        return _to_mom(C, g, out=C)
+
+    for halving in range(9):
+        Q = [hartree._x_frame(K0hat, g, t) for t in times]
+        data_norm = hartree._data_norm(bg, Trajectory(times, rho(Q)), scheme)
+        R = 2.0 * (hartree._kernel_s2(K0, g) + data_norm)
+        history = []
+        for _ in range(80):
+            Qnew = [hartree._x_frame(K0hat + W, g, t)
+                    for _, t, W in hartree._duhamel_accumulate(g, times, dt, commutator)]
+            delta = max(hartree._kernel_s2(a - b, g) for a, b in zip(Qnew, Q))
+            rho_delta = [Field(g, np.real(np.diagonal(a) - np.diagonal(b)).reshape(g.shape))
+                         for a, b in zip(Qnew, Q)]
+            delta += hartree._data_norm(bg, Trajectory(times, rho_delta), scheme)
+            history.append(delta)
+            Q = Qnew
+            if delta <= tol * max(1.0, R):
+                return Q, rho(Q), history, {"halvings": halving, "sweeps": len(history)}
+            if len(history) >= 2 and history[-1] >= 0.9 * history[-2]:
+                break
+        T = T / 2.0
+        times = hartree._uniform_times(T, dt)
+    raise AssertionError("the reference did not contract")
+
+
+def _bits(arrays) -> list:
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+# (d, n, L, w_scale, data scale, T, scheme, halvings)
+_SWEEP_CASES = {
+    "d1": (1, 32, 20.0, 1.0, 0.1, 0.05, "d1", 0),
+    "d2": (2, 8, 8.0, 1.0, 0.1, 0.02, "d2", 0),
+    "d2-halving": (2, 8, 16.0, 10000.0, 1.0, 0.016, "d2", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_in_place_sweep_matches_a_two_list_sweep_bit_for_bit(case):
+    d, n, L, w, scale, T, scheme, halvings = _SWEEP_CASES[case]
+    g = make_grid(d, n, L)
+    bg = make_background(g, "gaussian", "delta", w_scale=w)
+    Q0 = _small_data(g, rank=3, seed=1, scale=scale)
+    run = picard_solve(Q0, bg, T, 1e-3, scheme=scheme)
+    Q, rho, history, meta = _two_list_picard(Q0, bg, T, 1e-3, 1e-9, scheme)
+    assert run.meta == meta and meta["halvings"] == halvings
+    assert _bits(run.Q_frames) == _bits(Q)
+    assert _bits(f.values for f in run.rho_frames) == _bits(f.values for f in rho)
+    assert _bits(run.contraction_history) == _bits(history)
+
+
+# (w_scale, T, halvings): a solve on the full window and one that halves once
+@pytest.mark.parametrize("w, T, halvings", [(1.0, 0.05, 0), (20000.0, 0.016, 1)],
+                         ids=["full-window", "one-halving"])
+def test_picard_holds_one_trajectory_and_its_working_kernels(w, T, halvings):
+    # d=2, N = 256: the iterate's frames of the first window plus the counted
+    # working kernels bound the tracemalloc peak, halving or not
+    g = make_grid(2, 16, 16.0)
+    bg = make_background(g, "gaussian", "delta", w_scale=w)
+    Q0 = _small_data(g, rank=3, seed=1, scale=0.05 if halvings == 0 else 1.0)
+    frames = len(hartree._uniform_times(T, 1e-3))
+    tracemalloc.start()
+    try:
+        run = picard_solve(Q0, bg, T, 1e-3, scheme="d2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.meta["halvings"] == halvings
+    kernel = g.npoints**2 * np.dtype(complex).itemsize
+    assert peak <= (frames + hartree._PICARD_KERNELS) * kernel
+
+
+def test_lwp_pipeline_holds_one_draw_at_a_time():
+    # the d=3 pipeline of criterion 14: a second draw solves after the first
+    # draw's trajectory is released, so it adds less than one kernel to the peak
+    g = make_grid(3, 8, 12.0)
+    bg = make_background(g, "gaussian", "delta")
+    Q0 = _small_data(g, rank=3, seed=2)
+    fam = SubgaussianFamily("gaussian", 7)
+    peaks = []
+    for draws in (1, 2):
+        tracemalloc.start()
+        try:
+            recs = randomized_lwp_pipeline(Q0, "singular", bg, "d3", 0.5, fam, 0.04, 2e-3,
+                                           n_draws=draws)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [rec["status"] for rec in recs] == ["ok"] * draws
+    assert peaks[1] <= peaks[0] + g.npoints**2 * np.dtype(complex).itemsize
+
+
 def test_rk4_oracle_is_fourth_order():
     g = make_grid(1, 16, 12.0)
     bg = make_background(g, "gaussian", "delta")
