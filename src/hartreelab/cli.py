@@ -21,6 +21,7 @@ import configparser
 import csv
 import ctypes
 import json
+import math
 import os
 import platform
 import sys
@@ -250,7 +251,26 @@ _PROV_HEADER = ["grid", "dt", "T", "seed"]
 # subcommands
 
 
+# the flags each check needs; every one but --s (a fraction) is a positive exponent
+_CHECK_FLAGS = {
+    "region": ("p", "q"),
+    "exponents": ("p", "q"),
+    "full": ("p", "q", "q_hat", "r"),
+    "sobolev": ("p", "q", "alpha", "s"),
+}
+
+
 def _cmd_check(args) -> int:
+    if args.d not in (1, 2, 3):
+        raise ValidationError(f"--d must be 1, 2 or 3, got {args.d}")
+    needed = _CHECK_FLAGS[args.what]
+    flags = [f"--{name.replace('_', '-')}" for name in needed]
+    for name, flag in zip(needed, flags):
+        value = getattr(args, name)
+        if value is None:
+            raise ValidationError(f"check {args.what} needs {', '.join(flags)}; {flag} is missing")
+        if name != "s" and not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{flag} must be finite and positive, got {value}")
     if args.what == "region":
         sigma = Fraction(args.sigma).limit_denominator(10**12)
         region = ExponentRegion(args.d, sigma)

@@ -8,11 +8,15 @@ as given.
 Fourier convention: the forward transform carries the quadrature weight h^d
 and the phase e^{-i xi.x}; the inverse carries the weight 1/L^d.  Diagonal
 multiplier application is phase-free (the boundary-offset phases cancel), so
-apply_multiplier reduces to plain FFTs.
+it reduces to plain FFTs: _apply_multiplier_stack is the package's one
+F^{-1} m F pass, over the grid axes of a field, a factor stack or either
+index of a dense kernel.  _check_memory is the one size rule for the paths
+that hold dense kernels or (frames, N) stacks.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -206,10 +210,23 @@ def free_propagator(grid: Grid, t: float) -> FourierMultiplier:
     return FourierMultiplier(grid, np.exp(-1j * t * grid.xi_squared()))
 
 
+def _apply_multiplier_stack(m: FourierMultiplier, a: np.ndarray, grid: Grid,
+                            leading: bool = False) -> np.ndarray:
+    """F^{-1}(m . F a) over the last d axes of a (a field, a factor stack, a kernel
+    viewed as (N,) + grid.shape), or with leading its first d (grid.shape + (N,)).
+    """
+    extra = a.ndim - grid.d  # axes before the grid axes, or after them with leading
+    if leading:
+        axes, sym = tuple(range(grid.d)), m.symbol.reshape(grid.shape + (1,) * extra)
+    else:
+        axes, sym = tuple(range(extra, a.ndim)), m.symbol
+    return np.fft.ifftn(sym * np.fft.fftn(a, axes=axes), axes=axes)
+
+
 def apply_multiplier(m: FourierMultiplier, u: Field) -> Field:
     """Apply F^{-1}(m . F u).  Phase factors cancel for diagonal symbols."""
     _check_same_grid(m.grid, u.grid)
-    return Field(u.grid, np.fft.ifftn(m.symbol * np.fft.fftn(u.values)))
+    return Field(u.grid, _apply_multiplier_stack(m, u.values, u.grid))
 
 
 def free_propagate(u: Field, t: float) -> Field:
@@ -223,3 +240,26 @@ def convolve_potential(w_hat: FourierMultiplier, rho: Field) -> Field:
     _check_same_grid(w_hat.grid, rho.grid)
     out = apply_multiplier(w_hat, rho)
     return out
+
+
+def _check_memory(grid: Grid, what: str, kernels: int = 0, stacks: float = 0, frames: int = 0):
+    """Refuse, before it allocates, a path holding kernels dense N x N kernels
+    and stacks (frames, N) stacks, all complex.
+
+    The one size rule: a ValueError names the byte estimate when it exceeds
+    physical memory.  Hosts without these os.sysconf names are not checked.
+    """
+    N = grid.npoints
+    need = (kernels * N + stacks * frames) * N * np.dtype(complex).itemsize
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        held = [f"{kernels} dense {N}x{N} kernels"] if kernels else []
+        held += [f"{stacks:g} ({frames}, {N}) frequency stacks"] if stacks else []
+        raise ValueError(
+            f"{what} would hold about {need / 1e9:.1f} GB ({' and '.join(held)}), more "
+            f"than the {have / 1e9:.1f} GB of physical memory; "
+            "use a coarser grid or fewer time steps"
+        )

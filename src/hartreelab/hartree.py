@@ -50,13 +50,13 @@ rung and takes each S^4 distance in the Gram form ||A||_4^4 = ||A^* A||_F^2
 Each dense path (the nonlinear solver, the oracle, the direct L1, scattering)
 first counts the N x N kernels it will hold, and the linear-response march the
 (frames, N) frequency stacks it will hold, and refuses a problem whose
-estimate exceeds physical memory (_check_memory).
+estimate exceeds physical memory (grid._check_memory).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +65,12 @@ from .grid import (
     Field,
     FourierMultiplier,
     Grid,
+    _apply_multiplier_stack,
+    _check_memory,
     _check_same_grid,
+    bessel_multiplier,
     convolve_potential,
+    free_propagator,
 )
 from .linop import (
     DenseOperator,
@@ -75,8 +79,6 @@ from .linop import (
     _difference_index,
     _displacement_kernel,
     _freq_reflect,
-    _kernel_left_mult,
-    _kernel_right_mult,
     _kernel_schatten,
     add,
     conjugate_free,
@@ -196,14 +198,16 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
     fsym = bg.f.symbol.real
     scale = (np.max(np.abs(fsym)) + 1e-300) * (np.max(xi2) + abs(v0) + 1.0)
     rng = np.random.default_rng(seed)
-    env = (1.0 + xi2) ** -1.0
+    env = bessel_multiplier(g, -2.0)
+    hm = FourierMultiplier(g, xi2 + v0)
+    fm = FourierMultiplier(g, fsym)
     worst = 0.0
     for _ in range(n_probes):
         z = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        u = np.fft.ifftn(env * np.fft.fftn(z))
-        hu = np.fft.ifftn((xi2 + v0) * np.fft.fftn(u))
-        fu = np.fft.ifftn(fsym * np.fft.fftn(u))
-        c = np.fft.ifftn(fsym * np.fft.fftn(hu)) - np.fft.ifftn((xi2 + v0) * np.fft.fftn(fu))
+        u = _apply_multiplier_stack(env, z, g)
+        hu = _apply_multiplier_stack(hm, u, g)
+        fu = _apply_multiplier_stack(fm, u, g)
+        c = _apply_multiplier_stack(fm, hu, g) - _apply_multiplier_stack(hm, fu, g)
         worst = max(worst, float(np.linalg.norm(c) / (np.linalg.norm(u) * scale)))
     return worst
 
@@ -232,29 +236,6 @@ _PICARD_KERNELS = 7
 _MARCH_STACKS = 6
 
 
-def _check_memory(grid: Grid, what: str, kernels: int = 0, stacks: int = 0, frames: int = 0):
-    """Refuse, before it allocates, a path holding kernels dense N x N kernels
-    and stacks (frames, N) frequency stacks, all complex.
-
-    The one size rule: a ValueError names the byte estimate when it exceeds
-    physical memory.  Hosts without these os.sysconf names are not checked.
-    """
-    N = grid.npoints
-    need = (kernels * N + stacks * frames) * N * np.dtype(complex).itemsize
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    if need > have:
-        held = [f"{kernels} dense {N}x{N} kernels"] if kernels else []
-        held += [f"{stacks} ({frames}, {N}) frequency stacks"] if stacks else []
-        raise ValueError(
-            f"{what} would hold about {need / 1e9:.1f} GB ({' and '.join(held)}), more "
-            f"than the {have / 1e9:.1f} GB of physical memory; "
-            "use a coarser grid or fewer time steps"
-        )
-
-
 def _to_mom(K: np.ndarray, grid: Grid, out=None) -> np.ndarray:
     """Momentum kernel F K F^* of an x-space kernel, F the unitary DFT.
 
@@ -280,7 +261,7 @@ def _kernel_free_conj(K: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarr
 
     The result goes to ``out`` (which may be K itself) or to a new array.
     """
-    a = np.exp(-1j * t * grid.xi_squared()).reshape(-1)
+    a = free_propagator(grid, t).symbol.reshape(-1)
     # a times K in this operand order: K *= a[:, None] rounds differently
     out = np.multiply(a[:, None], K, out=out)
     out *= np.conj(a)[None, :]
@@ -307,6 +288,10 @@ def _kernel_s2(K: np.ndarray, grid: Grid) -> float:
     return float(grid.h**grid.d * np.linalg.norm(K))
 
 
+# entries per block of rows that _kernel_s2_exact turns into Python floats at a time
+_S2_BLOCK = 4096
+
+
 def _kernel_s2_exact(K: np.ndarray, grid: Grid) -> float:
     """Hilbert-Schmidt norm h^d ||K||_F, independent of summation order.
 
@@ -315,9 +300,13 @@ def _kernel_s2_exact(K: np.ndarray, grid: Grid) -> float:
     same bits on any host and for any layout or ordering of the entries.
     It is one to two orders of magnitude slower than the BLAS norm, so it is
     kept for values that are written, not for the Picard convergence test.
+    The squares reach fsum as Python floats one block of rows at a time, so
+    the call holds one block's list, not the whole kernel's.
     """
-    squares = np.concatenate([np.square(K.real).ravel(), np.square(K.imag).ravel()])
-    return float(grid.h**grid.d * math.sqrt(math.fsum(squares.tolist())))
+    rows = max(1, _S2_BLOCK // K.shape[1])
+    squares = (np.square(part[i:i + rows]).ravel().tolist()
+               for part in (K.real, K.imag) for i in range(0, K.shape[0], rows))
+    return float(grid.h**grid.d * math.sqrt(math.fsum(itertools.chain.from_iterable(squares))))
 
 
 def _potential_field(bg: BackgroundState, rho_values: np.ndarray) -> Field:
@@ -406,7 +395,7 @@ def _frame_at(A, k: int):
     return A
 
 
-def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
+def duhamel_series(V: Trajectory, A) -> list:
     """D_V[A](t_k) = -i int_0^{t_k} U(t-tau) [V(tau), A(tau)] U(tau-t) dtau.
 
     V is a trajectory of real potential fields.  A may be a single operator,
@@ -458,13 +447,13 @@ def duhamel_series(V: Trajectory, A, bg: BackgroundState | None = None) -> list:
             for k, t, W in _duhamel_accumulate(grid, times, np.diff(times), commutator)]
 
 
-def duhamel_term(V: Trajectory, A, t: float, bg: BackgroundState | None = None):
+def duhamel_term(V: Trajectory, A, t: float):
     """The Duhamel integral at one time t of the trajectory grid."""
     k = _times_index(V.times, t)
     # Only the prefix [0, t] matters; truncate to keep the cost linear in k.
     Vcut = Trajectory(V.times[: k + 1], V.frames[: k + 1])
     Acut = A[: k + 1] if isinstance(A, (list, tuple)) else A
-    return duhamel_series(Vcut, Acut, bg)[k]
+    return duhamel_series(Vcut, Acut)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +633,11 @@ def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun
     # every frame, plus gamma_f, the state, four stages and the rhs temporaries
     _check_memory(g, "dense_rk4_oracle", kernels=len(times) + 10)
     kf = gamma_f_kernel(bg)
-    xi2 = g.xi_squared()
+    kin = FourierMultiplier(g, g.xi_squared())  # -Laplacian; even, so its own reflection
 
     def rhs(K):
-        lap = _kernel_left_mult(xi2, K, g) - _kernel_right_mult(xi2, K, g)
+        lap = (_apply_multiplier_stack(kin, K.reshape(g.shape + (-1,)), g, leading=True)
+               - _apply_multiplier_stack(kin, K.reshape((-1,) + g.shape), g)).reshape(K.shape)
         return -1j * (lap + _commutator_kernel(_kernel_potential(bg, K), K + kf))
 
     K = to_dense(Q0).kernel  # a new array, rebound (never written) by each step
@@ -789,13 +779,13 @@ def calibrate_l1_constant(
     g = bg.grid
     times = dt * np.arange(n_frames)
     rng = np.random.default_rng(seed)
-    env = (1.0 + g.xi_squared()) ** -1.5
+    env = bessel_multiplier(g, -3.0)
     num = 0.0 + 0.0j
     den = 0.0
     pairs = []
     for _ in range(n_probes):
         z = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        base = np.real(np.fft.ifftn(env * np.fft.fftn(z)))
+        base = np.real(_apply_multiplier_stack(env, z, g))
         om, ph = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2 * np.pi)
         frames = [Field(g, base * np.cos(om * t + ph)) for t in times]
         gtr = Trajectory(times, frames)
@@ -1049,17 +1039,18 @@ def randomized_lwp_pipeline(
     dt: float,
     n_draws: int,
     family_ell=None,
-    pou=None,
     tol: float = 1e-8,
 ) -> list:
     """Randomize, record the data norm the local theory needs, then solve.
 
     Returns one record per draw: the drawn data norm, the achieved window T,
-    and the contraction diagnostics of the accepted run.
+    and the contraction diagnostics of the accepted run.  which = "full"
+    randomizes over the unit-cell PartitionOfUnity of Q0's grid.
     """
-    from .randomize import sobolev_conjugated_randomize
+    from .randomize import PartitionOfUnity, sobolev_conjugated_randomize
 
     g = bg.grid
+    pou = PartitionOfUnity(Q0.grid) if which == "full" else None
     records = []
     probe_times = _uniform_times(T, dt)
     for m in range(n_draws):

@@ -10,6 +10,10 @@ Operator singular values are, by convention, those of the plain matrix
 h^d * K; low-rank factors are orthonormalized in the h^d-weighted inner
 product, so grid refinement converges to the continuum norms.  All
 operations are pure; operators are treated as immutable values.
+
+Multipliers act on both representations through the one pass
+grid._apply_multiplier_stack (imported here under that name), and both
+random factor draws end in one weighted QR (_orthonormal_factors).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .grid import (
     Field,
     FourierMultiplier,
     Grid,
+    _apply_multiplier_stack,
     _check_same_grid,
     bessel_multiplier,
     free_propagator,
@@ -206,37 +211,12 @@ def _kernel_schatten(K: np.ndarray, grid: Grid, alpha: float) -> float:
     return float(grid.h**grid.d * total**0.25)
 
 
-def _apply_multiplier_stack(m: FourierMultiplier, stack: np.ndarray, grid: Grid) -> np.ndarray:
-    axes = tuple(range(1, grid.d + 1))
-    return np.fft.ifftn(m.symbol[None] * np.fft.fftn(stack, axes=axes), axes=axes)
-
-
 def _freq_reflect(a: np.ndarray) -> np.ndarray:
     """Value at -xi for an array in FFT frequency order."""
     out = a
     for ax in range(a.ndim):
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
     return out
-
-
-def _kernel_left_mult(sym: np.ndarray, K: np.ndarray, grid: Grid) -> np.ndarray:
-    """m(-i grad_x) K on a raw dense kernel: the symbol acts over the first index."""
-    N = grid.npoints
-    A = K.reshape(grid.shape + (N,))
-    axes = tuple(range(grid.d))
-    return np.fft.ifftn(sym[..., None] * np.fft.fftn(A, axes=axes), axes=axes).reshape(N, N)
-
-
-def _kernel_right_mult(sym: np.ndarray, K: np.ndarray, grid: Grid) -> np.ndarray:
-    """K m(-i grad) on a raw dense kernel: the symbol acts over the second index.
-
-    In the y-transform the symbol enters reflected, m(-eta).
-    """
-    N = grid.npoints
-    A = K.reshape((N,) + grid.shape)
-    axes = tuple(range(1, grid.d + 1))
-    m = _freq_reflect(sym)
-    return np.fft.ifftn(m[None] * np.fft.fftn(A, axes=axes), axes=axes).reshape(N, N)
 
 
 def _conjugate_multiplier(A, m: FourierMultiplier):
@@ -250,8 +230,12 @@ def _conjugate_multiplier(A, m: FourierMultiplier):
             _apply_multiplier_stack(m, A.left, A.grid),
             _apply_multiplier_stack(m, A.right, A.grid),
         )
-    k = _kernel_left_mult(m.symbol, A.kernel, A.grid)
-    return DenseOperator(A.grid, _kernel_right_mult(np.conj(m.symbol), k, A.grid))
+    g = A.grid
+    k = _apply_multiplier_stack(m, A.kernel.reshape(g.shape + (-1,)), g, leading=True)
+    # m^* acts on the kernel's second index, where its symbol enters reflected: conj(m(-eta))
+    mstar = FourierMultiplier(g, _freq_reflect(np.conj(m.symbol)))
+    k = _apply_multiplier_stack(mstar, k.reshape((-1,) + g.shape), g)
+    return DenseOperator(g, k.reshape(A.kernel.shape))
 
 
 def sobolev_schatten_norm(A, s: float, alpha: float) -> SchattenReport:
@@ -455,9 +439,24 @@ def hermitian_defect(A) -> float:
     return schatten_norm(diff, 2).value / nrm
 
 
-def _check_rank(grid: Grid, rank: int):
+def _orthonormal_factors(grid: Grid, rank: int, draw, hermitian: bool,
+                         coeffs: np.ndarray | None) -> LowRankOperator:
+    """The random factor draws' one tail: rank check, then a weighted QR of each
+    (rank,) + grid.shape draw() (one draw when hermitian), default coefficients 1/n.
+    """
     if not 1 <= rank <= grid.npoints:
         raise ValueError(f"rank must be between 1 and {grid.npoints}, got {rank}")
+    w = np.sqrt(grid.h**grid.d)
+
+    def orthonormal():
+        Q, _ = np.linalg.qr(w * draw().reshape(rank, -1).T)
+        return Q.T.reshape((rank,) + grid.shape) / w
+
+    left = orthonormal()
+    right = left if hermitian else orthonormal()
+    if coeffs is None:
+        coeffs = 1.0 / np.arange(1, rank + 1)
+    return LowRankOperator(grid, np.asarray(coeffs, dtype=complex), left, right)
 
 
 def random_low_rank(
@@ -472,25 +471,15 @@ def random_low_rank(
     Factors are frequency-localized gaussian draws, smoothed by the envelope
     (1+|xi|^2)^{-1} so Sobolev conjugations stay well conditioned.
     """
-    _check_rank(grid, rank)
-    env = (1.0 + grid.xi_squared()) ** -1.0
-    w = np.sqrt(grid.h**grid.d)
+    env = bessel_multiplier(grid, -2.0)
 
-    def draw_stack():
+    def draw():
         z = rng.standard_normal((rank,) + grid.shape) + 1j * rng.standard_normal(
             (rank,) + grid.shape
         )
-        axes = tuple(range(1, grid.d + 1))
-        smooth = np.fft.ifftn(env[None] * np.fft.fftn(z, axes=axes), axes=axes)
-        # Orthonormalize in the weighted inner product.
-        Q, _ = np.linalg.qr(w * smooth.reshape(rank, -1).T)
-        return Q.T.reshape((rank,) + grid.shape) / w
+        return _apply_multiplier_stack(env, z, grid)
 
-    left = draw_stack()
-    right = left if hermitian else draw_stack()
-    if coeffs is None:
-        coeffs = 1.0 / np.arange(1, rank + 1)
-    return LowRankOperator(grid, np.asarray(coeffs, dtype=complex), left, right)
+    return _orthonormal_factors(grid, rank, draw, hermitian, coeffs)
 
 
 def localized_low_rank(
@@ -509,26 +498,19 @@ def localized_low_rank(
     random_low_rank).  Factor families are orthonormalized in the weighted
     inner product.
     """
-    _check_rank(grid, rank)
     xm = grid.x_mesh()
     env = np.exp(-sum(x**2 for x in xm) / (2 * width**2))
     monomials = [np.ones(grid.shape)]
     monomials += [x / width for x in xm]
     monomials += [(x / width) ** 2 for x in xm]
-    w = np.sqrt(grid.h**grid.d)
 
-    def draw_stack():
+    def draw():
         stack = np.empty((rank,) + grid.shape, dtype=complex)
         for j in range(rank):
             c = rng.standard_normal(len(monomials)) + 1j * rng.standard_normal(len(monomials))
             poly = sum(cj * mj for cj, mj in zip(c, monomials))
             xi0 = rng.uniform(-0.5, 0.5, size=grid.d)
             stack[j] = env * poly * np.exp(1j * sum(xi0[a] * xm[a] for a in range(grid.d)))
-        Q, _ = np.linalg.qr(w * stack.reshape(rank, -1).T)
-        return Q.T.reshape((rank,) + grid.shape) / w
+        return stack
 
-    left = draw_stack()
-    right = left if hermitian else draw_stack()
-    if coeffs is None:
-        coeffs = 1.0 / np.arange(1, rank + 1)
-    return LowRankOperator(grid, np.asarray(coeffs, dtype=complex), left, right)
+    return _orthonormal_factors(grid, rank, draw, hermitian, coeffs)

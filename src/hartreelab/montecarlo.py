@@ -32,7 +32,7 @@ from functools import reduce
 import numpy as np
 
 from .exponents import full_estimate_check, singular_estimate_exponents
-from .grid import Field, bessel_multiplier, make_grid
+from .grid import Field, _check_memory, bessel_multiplier, free_propagator, make_grid
 from .linop import (
     LowRankOperator,
     _CHUNK_ENTRIES,
@@ -179,6 +179,10 @@ def singular_moment_experiment(
     _check_ensemble(M, T, orders, p=p, q=q, sigma=sigma)
     singular_estimate_exponents(p, q, Fraction(sigma).limit_denominator(10**6), d)
     grid = make_grid(d, n, L)
+    R = rank if operator is None else operator.rank
+    # (n_frames, N) complex stacks: the mode stack, its real copy and the free-flow
+    # and draw blocks; tracemalloc peak 7.1 and 10.4 stacks at R = 2 and 4 (d=2, N = 65536)
+    _check_memory(grid, "singular_moment_experiment", stacks=2 * R + 4, frames=n_frames)
     if operator is None:
         op_rng = np.random.default_rng(np.random.SeedSequence(entropy=op_seed, spawn_key=(0xA0,)))
         operator = random_low_rank(grid, rank, op_rng, hermitian=True)
@@ -258,6 +262,13 @@ def full_moment_experiment(
     full_estimate_check(p, q, q_hat, min(float(r) for r in orders), d)
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
+    R = rank if operator is None else operator.rank
+    # (n_frames, N) complex stacks: phased factors and their transforms (one side for the
+    # drawn Hermitian operator; both and a conjugate for a given one), the cell symbols
+    # and the phases; tracemalloc peak 13.2 / 18.3 stacks drawn, 18.5 / 29.4 given at
+    # R = 2 / 4 (d=2, N = 65536, 9 frames, 81 cells)
+    _check_memory(grid, "full_moment_experiment", frames=n_frames,
+                  stacks=(3 if operator is None else 6) * R + len(pou.cells) / n_frames + 1)
     if operator is None:
         op_rng = np.random.default_rng(np.random.SeedSequence(entropy=op_seed, spawn_key=(0xA1,)))
         operator = random_low_rank(grid, rank, op_rng, hermitian=True)
@@ -268,8 +279,7 @@ def full_moment_experiment(
     lhat = np.fft.fftn(A.left, axes=axes)
     rhat = np.fft.fftn(A.right, axes=axes)
     symmetric = np.allclose(A.left, A.right)
-    xi2 = grid.xi_squared()
-    phases = np.exp(-1j * times[:, None] * xi2.reshape(-1)[None]).reshape((n_frames,) + grid.shape)
+    phases = np.stack([free_propagator(grid, t).symbol for t in times])
     cell_stack = np.array([pou.cell_symbol(k) for k in pou.cells])
     lph = lhat[:, None] * phases[None]
     lt = np.empty(lph.shape, dtype=complex)
@@ -341,19 +351,23 @@ def function_moment_experiment(
         raise ValueError("moment orders must be >= max(p, q_hat)")
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
+    block = max(1, int(4e6 // (n_frames * grid.npoints)))
+    # (n_frames, N) complex stacks: the real cell symbols twice while they are stacked,
+    # the phases, the phased transform and a block of draws; tracemalloc peak 11.2
+    # stacks at d=2, N = 65536, 9 frames, 81 cells
+    _check_memory(grid, "function_moment_experiment", frames=n_frames,
+                  stacks=len(pou.cells) / n_frames + 3 + min(block, M))
     if f is None:
         x2 = sum(x**2 for x in grid.x_mesh())
         f = Field(grid, np.exp(-x2 / 2.0))
     times = np.linspace(0.0, T, n_frames)
-    xi2 = grid.xi_squared()
-    phases = np.exp(-1j * times[:, None] * xi2.reshape(-1)[None]).reshape((n_frames,) + grid.shape)
+    phases = np.stack([free_propagator(grid, t).symbol for t in times])
     fph = np.fft.fftn(f.values) * phases
     cell_stack = np.array([pou.cell_symbol(k) for k in pou.cells])
 
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
     samples = np.empty(M)
-    block = max(1, int(4e6 // (n_frames * grid.npoints)))
     buf = np.empty((min(block, M), n_frames) + grid.shape, dtype=complex)
     for start in range(0, M, block):
         stop = min(M, start + block)

@@ -215,6 +215,12 @@ def sobolev_conjugated_randomize(
     """
     if which not in ("singular", "full"):
         raise ValueError("which must be 'singular' or 'full'")
+    needed = {"family_g": family_g}
+    if which == "full":
+        needed.update(family_ell=family_ell, pou=pou)
+    missing = [name for name, value in needed.items() if value is None]
+    if missing:
+        raise ValueError(f"which = {which!r} needs {' and '.join(missing)}")
     g = A.grid
     if sigma != 0:
         A = _conjugate_multiplier(A, bessel_multiplier(g, sigma))

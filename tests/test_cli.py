@@ -62,6 +62,28 @@ def test_check_validation_failures():
     assert run(["frobnicate"]) == 1
 
 
+# (check arguments, text the error line must contain)
+_BAD_CHECKS = [
+    ("region --d 2", "check region needs --p, --q; --p is missing"),
+    ("exponents --d 2 --p 4", "check exponents needs --p, --q; --q is missing"),
+    ("full --d 2 --p 2 --q 2", "check full needs --p, --q, --q-hat, --r; --q-hat is missing"),
+    ("sobolev --d 2 --p 4 --q 4 --alpha 2", "check sobolev needs --p, --q, --alpha, --s; --s is missing"),
+    ("region --d 2 --p 0 --q 2", "--p must be finite and positive, got 0.0"),
+    ("exponents --d 1 --p 8 --q=-4", "--q must be finite and positive, got -4.0"),
+    ("full --d 2 --p 2 --q 2 --q-hat 4 --r inf", "--r must be finite and positive, got inf"),
+    ("region --d 0 --p 2 --q 2", "--d must be 1, 2 or 3, got 0"),
+    ("exponents --d 4 --p 4 --q 4", "--d must be 1, 2 or 3, got 4"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _BAD_CHECKS, ids=[a for a, _ in _BAD_CHECKS])
+def test_bad_check_is_a_validation_error(argv, named):
+    res = _cli("check", *argv.split())
+    assert res.returncode == 1
+    assert "Traceback" not in res.stdout + res.stderr
+    assert res.stderr.startswith("error:") and named in res.stderr
+
+
 def test_strichartz_deterministic_byte_identical(tmp_path):
     cfg = _write(tmp_path / "exp.config", SINGULAR_CONFIG)
     out1, out2 = tmp_path / "run1", tmp_path / "run2"

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 from dataclasses import replace
@@ -612,6 +613,40 @@ def test_randomized_lwp_pipeline_records():
     # counter-based draws: rerunning reproduces the records exactly
     again = randomized_lwp_pipeline(Q0, "singular", bg, "d1", 0.5, fam, 0.05, 1e-3, n_draws=3)
     assert recs == again
+
+
+def test_randomized_lwp_pipeline_full_randomization():
+    g = make_grid(1, 32, 16.0)
+    bg = make_background(g, "gaussian", "delta")
+    Q0 = _small_data(g, rank=3, seed=10)
+    fam_g, fam_ell = SubgaussianFamily("gaussian", 2718), SubgaussianFamily("rademacher", 31)
+    recs = randomized_lwp_pipeline(Q0, "full", bg, "d1", 0.5, fam_g, 0.05, 1e-3, n_draws=2,
+                                   family_ell=fam_ell)
+    assert [rec["status"] for rec in recs] == ["ok", "ok"]
+    assert all(rec["which"] == "full" and rec["max_ratio"] < 0.9 for rec in recs)
+    with pytest.raises(ValueError, match="needs family_ell"):
+        randomized_lwp_pipeline(Q0, "full", bg, "d1", 0.5, fam_g, 0.05, 1e-3, n_draws=1)
+
+
+def test_exact_s2_matches_the_list_formula_without_holding_the_list():
+    g = make_grid(2, 16, 8.0)
+    N = g.npoints
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        mag = 10.0 ** rng.uniform(-8, 8, size=(2, N, N))
+        K = mag[0] * rng.choice([-1.0, 1.0], (N, N)) + 1j * mag[1] * rng.choice([-1.0, 1.0], (N, N))
+        squares = np.concatenate([np.square(K.real).ravel(), np.square(K.imag).ravel()])
+        want = float(g.h**g.d * math.sqrt(math.fsum(squares.tolist())))
+        del squares
+        tracemalloc.start()
+        try:
+            got = hartree._kernel_s2_exact(K, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        # the whole-kernel list of 2 N^2 Python floats is 4 kernels, its squares one more
+        assert peak <= 0.5 * K.nbytes
 
 
 # The dense Duhamel engine carries kernels in the momentum basis K^ = F K F^*;

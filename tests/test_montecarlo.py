@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,28 @@ def test_function_experiment_runs_and_validates():
         function_moment_experiment(1, 32, 16.0, 6.0, 6.0, 6.0, fam, M=5, orders=[4.0])
     with pytest.raises(ValueError, match="got -1.0"):
         function_moment_experiment(1, 32, 16.0, 6.0, 6.0, 6.0, fam, M=5, orders=[8.0], T=-1.0)
+
+
+def test_ensembles_refuse_a_problem_larger_than_memory(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the operator was drawn before the size check")
+
+    monkeypatch.setattr(montecarlo, "random_low_rank", no_draw)
+    # a host with 8 pages (32 KB) of physical memory: less than the few (17, 32)
+    # complex stacks (8.7 KB each) that each ensemble holds at rank 2
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8}.get)
+    fam, fam2 = SubgaussianFamily("gaussian", 1), SubgaussianFamily("rademacher", 2)
+    experiments = {
+        "singular_moment_experiment":
+            lambda: singular_moment_experiment(1, 32, 16.0, 2, 0.0, 4, 2, fam, 10, [4.0, 8.0]),
+        "full_moment_experiment":
+            lambda: full_moment_experiment(1, 32, 16.0, 2, 4, 2, 4, fam, fam2, 10, [4.0, 8.0]),
+        "function_moment_experiment":
+            lambda: function_moment_experiment(1, 32, 16.0, 8, 4, 4, fam, 10, [8.0, 12.0]),
+    }
+    for name, call in experiments.items():
+        with pytest.raises(ValueError, match=rf"{name} would hold .* \(17, 32\) .* of physical memory"):
+            call()
 
 
 def test_key_probe_bounded_and_refinement_stable():

@@ -175,6 +175,21 @@ def test_sobolev_conjugation_reduces_at_sigma_zero():
         sobolev_conjugated_randomize(A, 0.5, "neither", family_g=fam)
 
 
+@pytest.mark.parametrize("which, given, missing", [
+    ("singular", {}, "family_g"),
+    ("full", {"family_g"}, "family_ell and pou"),
+    ("full", {"family_g", "pou"}, "family_ell"),
+    ("full", {"family_g", "family_ell"}, "pou"),
+])
+def test_sobolev_conjugation_names_a_missing_input(which, given, missing):
+    g = make_grid(1, 32, 12.0)
+    A = random_low_rank(g, 2, np.random.default_rng(8))
+    inputs = {"family_g": SubgaussianFamily("gaussian", 1),
+              "family_ell": SubgaussianFamily("rademacher", 2), "pou": PartitionOfUnity(g)}
+    with pytest.raises(ValueError, match=rf"which = '{which}' needs {missing}$"):
+        sobolev_conjugated_randomize(A, 0.5, which, **{k: inputs[k] for k in given})
+
+
 def test_sobolev_conjugation_round_trips_with_degenerate_draws():
     g = make_grid(1, 32, 12.0)
     rng = np.random.default_rng(7)
