@@ -130,6 +130,14 @@ def _float_or_inf(s: str) -> float:
     return float("inf") if s.strip().lower() in ("inf", "infinity") else float(s)
 
 
+def _exponent(s: str):
+    """An exact fraction ('8/3', '1.6'); 'inf' and 'nan' stay floats for the range check."""
+    try:
+        return Fraction(s)
+    except ValueError:
+        return float(s)
+
+
 def _orders(s: str) -> list:
     return [float(x) for x in s.replace(",", " ").split()]
 
@@ -269,8 +277,8 @@ def _cmd_check(args) -> int:
         value = getattr(args, name)
         if value is None:
             raise ValidationError(f"check {args.what} needs {', '.join(flags)}; {flag} is missing")
-        if name != "s" and not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{flag} must be finite and positive, got {value}")
+        if name != "s" and not (0 < value < math.inf):
+            raise ValidationError(f"{flag} must be finite and positive, got {float(value)}")
     if args.what == "region":
         sigma = Fraction(args.sigma).limit_denominator(10**12)
         region = ExponentRegion(args.d, sigma)
@@ -516,11 +524,11 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("what", choices=["region", "exponents", "full", "sobolev"])
     chk.add_argument("--d", type=int, required=True)
     chk.add_argument("--sigma", type=str, default="0")
-    chk.add_argument("--p", type=float, default=None)
-    chk.add_argument("--q", type=float, default=None)
-    chk.add_argument("--q-hat", dest="q_hat", type=float, default=None)
-    chk.add_argument("--r", type=float, default=None)
-    chk.add_argument("--alpha", type=float, default=None)
+    chk.add_argument("--p", type=_exponent, default=None)
+    chk.add_argument("--q", type=_exponent, default=None)
+    chk.add_argument("--q-hat", dest="q_hat", type=_exponent, default=None)
+    chk.add_argument("--r", type=_exponent, default=None)
+    chk.add_argument("--alpha", type=_exponent, default=None)
     chk.add_argument("--s", type=str, default=None)
 
     st = sub.add_parser("strichartz", help="moment-growth Monte Carlo")

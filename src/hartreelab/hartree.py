@@ -1045,18 +1045,17 @@ def randomized_lwp_pipeline(
 
     Returns one record per draw: the drawn data norm, the achieved window T,
     and the contraction diagnostics of the accepted run.  which = "full"
-    randomizes over the unit-cell PartitionOfUnity of Q0's grid.
+    randomizes over the unit-cell partition of Q0's grid.
     """
-    from .randomize import PartitionOfUnity, sobolev_conjugated_randomize
+    from .randomize import sobolev_conjugated_randomize
 
     g = bg.grid
-    pou = PartitionOfUnity(Q0.grid) if which == "full" else None
     records = []
     probe_times = _uniform_times(T, dt)
     for m in range(n_draws):
         Qw = sobolev_conjugated_randomize(
             Q0, sigma, which=which, family_g=family_g, family_ell=family_ell,
-            pou=pou, stream_g=m, stream_ell=m,
+            stream_g=m, stream_ell=m,
         )
         rho_traj = density_trajectory(Qw, probe_times)
         rho_traj = Trajectory(probe_times, [Field(g, np.real(f.values)) for f in rho_traj.frames])

@@ -263,12 +263,12 @@ def full_moment_experiment(
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
     R = rank if operator is None else operator.rank
-    # (n_frames, N) complex stacks: phased factors and their transforms (one side for the
-    # drawn Hermitian operator; both and a conjugate for a given one), the cell symbols
-    # and the phases; tracemalloc peak 13.2 / 18.3 stacks drawn, 18.5 / 29.4 given at
-    # R = 2 / 4 (d=2, N = 65536, 9 frames, 81 cells)
+    # (n_frames, N) complex stacks: a phased side and its transform per rank (both sides
+    # for a given operator), phases, density, norm chunk; plus N-vectors (factors, their
+    # transforms, the operator draw). tracemalloc peak at d=2, N = 4096, R = 2 / 4, 9 frames:
+    # drawn 10.2 / 13.9 stacks, given 12.0 / 20.9 (12.4 / 15.7 and 12.8 / 22.4 at 5 frames)
     _check_memory(grid, "full_moment_experiment", frames=n_frames,
-                  stacks=(3 if operator is None else 6) * R + len(pou.cells) / n_frames + 1)
+                  stacks=(2 if operator is None else 4) * R + 4 + (6 * R + 24) / n_frames)
     if operator is None:
         op_rng = np.random.default_rng(np.random.SeedSequence(entropy=op_seed, spawn_key=(0xA1,)))
         operator = random_low_rank(grid, rank, op_rng, hermitian=True)
@@ -280,7 +280,6 @@ def full_moment_experiment(
     rhat = np.fft.fftn(A.right, axes=axes)
     symmetric = np.allclose(A.left, A.right)
     phases = np.stack([free_propagator(grid, t).symbol for t in times])
-    cell_stack = np.array([pou.cell_symbol(k) for k in pou.cells])
     lph = lhat[:, None] * phases[None]
     lt = np.empty(lph.shape, dtype=complex)
     rph, rt = (None, lt) if symmetric else (rhat[:, None] * phases[None], np.empty_like(lph))
@@ -293,7 +292,7 @@ def full_moment_experiment(
     for m in range(M):
         g = sample_coefficients(family_g, A.rank, m)
         ell = sample_coefficients(family_ell, len(pou.cells), m)
-        R = np.tensordot(ell, cell_stack, axes=(0, 0))
+        R = pou.weight(ell)
         np.fft.ifftn(np.multiply(lph, R, out=lt), axes=spatial, out=lt)
         if symmetric:
             # rho = sum_n c_n g_n |l_n|^2 is real: the singular values and draws are
@@ -301,7 +300,7 @@ def full_moment_experiment(
             rho = (sq[0::2] + sq[1::2]).reshape(lt.shape[1:])
         else:
             np.fft.ifftn(np.multiply(rph, R, out=rt), axes=spatial, out=rt)
-            rho = np.einsum("n,nk...,nk...->k...", A.coeffs * g, lt, np.conj(rt))
+            rho = np.einsum("n,nk...,nk...->k...", A.coeffs * g, lt, np.conjugate(rt, out=rt))
         samples[m] = _mixed_norm_batch(rho[None], w, hd, p, q_hat)[0]
 
     meta = {
@@ -352,18 +351,17 @@ def function_moment_experiment(
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
     block = max(1, int(4e6 // (n_frames * grid.npoints)))
-    # (n_frames, N) complex stacks: the real cell symbols twice while they are stacked,
-    # the phases, the phased transform and a block of draws; tracemalloc peak 11.2
-    # stacks at d=2, N = 65536, 9 frames, 81 cells
+    # (n_frames, N) complex stacks: the phases, the phased transform, a block of draws
+    # and the norm's chunk of them; tracemalloc peak 8.7 / 8.4 / 8.2 stacks at 5 / 9 / 17
+    # frames (d=2, N = 4096, 3 draws)
     _check_memory(grid, "function_moment_experiment", frames=n_frames,
-                  stacks=len(pou.cells) / n_frames + 3 + min(block, M))
+                  stacks=3 + 2 * min(block, M))
     if f is None:
         x2 = sum(x**2 for x in grid.x_mesh())
         f = Field(grid, np.exp(-x2 / 2.0))
     times = np.linspace(0.0, T, n_frames)
     phases = np.stack([free_propagator(grid, t).symbol for t in times])
     fph = np.fft.fftn(f.values) * phases
-    cell_stack = np.array([pou.cell_symbol(k) for k in pou.cells])
 
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
@@ -374,7 +372,7 @@ def function_moment_experiment(
         ells = np.array(
             [sample_coefficients(family, len(pou.cells), m) for m in range(start, stop)]
         )
-        R = np.tensordot(ells, cell_stack, axes=(1, 0))
+        R = pou.weight(ells)
         frames = np.multiply(fph, R[:, None], out=buf[: stop - start])
         np.fft.ifftn(frames, axes=tuple(range(2, d + 2)), out=frames)
         samples[start:stop] = _mixed_norm_batch(frames, w, hd, p, q_hat)

@@ -10,6 +10,9 @@ Three randomizations are provided:
   frequency-weight draw conjugating the operator) and randomize the
   singular values simultaneously.
 
+The unit-cell partition is fixed by the grid; PartitionOfUnity.weight, the one
+sum over its cells, forms sum_k l_k chi_k axis by axis from one hat matrix.
+
 Draws are counter-based: sample streams are derived from a 64-bit master
 seed and an integer stream id, so ensembles parallelize with no ordering
 dependence and replay bit-identically.
@@ -19,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .grid import Field, FourierMultiplier, Grid, _check_same_grid, apply_multiplier, bessel_multiplier
+from .grid import Field, FourierMultiplier, Grid, apply_multiplier, bessel_multiplier
 from .linop import LowRankOperator, _conjugate_multiplier, recompress
 
 __all__ = [
@@ -105,11 +109,12 @@ class PartitionOfUnity:
     chi_k(xi) = prod_axis hat(xi_axis - k_axis) with hat the piecewise-linear
     bump supported on [-1, 1]; sum_k chi_k == 1 exactly at every frequency.
     cells lists the integer offsets whose bump meets the grid's frequency
-    lattice.
+    lattice, row-major over the per-axis offsets whose bumps are the rows of hats.
     """
 
     grid: Grid
     cells: list = field(init=False)
+    hats: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.grid.L < 2 * np.pi:
@@ -118,42 +123,40 @@ class PartitionOfUnity:
         lo, hi = int(np.floor(xi.min())), int(np.ceil(xi.max()))
         axis_ks = [k for k in range(lo - 1, hi + 2) if np.any(_hat(xi - k) > 0)]
         self.cells = sorted(itertools.product(axis_ks, repeat=self.grid.d))
+        self.hats = np.array([_hat(xi - k) for k in axis_ks])
 
     def cell_symbol(self, k: tuple) -> np.ndarray:
-        xi_mesh = self.grid.xi_mesh()
-        out = np.ones(self.grid.shape)
-        for a in range(self.grid.d):
-            out = out * _hat(xi_mesh[a] - k[a])
-        return out
+        """chi_k on the frequency mesh: the outer product of its per-axis hats."""
+        return reduce(np.multiply.outer, [_hat(self.grid.xi_axis - ka) for ka in k])
+
+    def weight(self, ells: np.ndarray) -> np.ndarray:
+        """sum_k ells[..., k] chi_k for ells of shape (..., cells), contracted axis by axis."""
+        lead = ells.ndim - 1
+        w = ells.reshape(ells.shape[:-1] + (len(self.hats),) * self.grid.d)
+        for _ in range(self.grid.d):
+            w = np.tensordot(w, self.hats, axes=(lead, 0))
+        return w
 
 
-def unit_projection(u: Field, k: tuple, pou: PartitionOfUnity) -> Field:
+def unit_projection(u: Field, k: tuple) -> Field:
     """Frequency-block projection Pi_k u."""
-    _check_same_grid(u.grid, pou.grid)
+    pou = PartitionOfUnity(u.grid)
     k = tuple(int(x) for x in np.atleast_1d(k))
     if len(k) != u.grid.d:
         raise ValueError("cell offset dimension mismatch")
-    m = FourierMultiplier(u.grid, pou.cell_symbol(k))
-    return apply_multiplier(m, u)
+    return apply_multiplier(FourierMultiplier(u.grid, pou.cell_symbol(k)), u)
 
 
-def wiener_weight(
-    family: SubgaussianFamily, pou: PartitionOfUnity, stream_id: int = 0
-) -> FourierMultiplier:
+def wiener_weight(family: SubgaussianFamily, grid: Grid, stream_id: int = 0) -> FourierMultiplier:
     """The random frequency weight R(xi) = sum_k l_k chi_k(xi), one draw per cell."""
+    pou = PartitionOfUnity(grid)
     ells = sample_coefficients(family, len(pou.cells), stream_id)
-    sym = np.zeros(pou.grid.shape)
-    for ell, k in zip(ells, pou.cells):
-        sym = sym + ell * pou.cell_symbol(k)
-    return FourierMultiplier(pou.grid, sym)
+    return FourierMultiplier(grid, pou.weight(ells))
 
 
-def wiener_randomize(
-    u: Field, family: SubgaussianFamily, pou: PartitionOfUnity, stream_id: int = 0
-) -> Field:
+def wiener_randomize(u: Field, family: SubgaussianFamily, stream_id: int = 0) -> Field:
     """sum_k l_k Pi_k u, applied as the single multiplier wiener_weight."""
-    _check_same_grid(u.grid, pou.grid)
-    return apply_multiplier(wiener_weight(family, pou, stream_id), u)
+    return apply_multiplier(wiener_weight(family, u.grid, stream_id), u)
 
 
 def _ensure_svd_form(A: LowRankOperator) -> LowRankOperator:
@@ -187,16 +190,14 @@ def full_randomize(
     A: LowRankOperator,
     family_g: SubgaussianFamily,
     family_ell: SubgaussianFamily,
-    pou: PartitionOfUnity,
     stream_g: int = 0,
     stream_ell: int = 0,
 ) -> LowRankOperator:
     """R A^omega R with one shared frequency-weight draw on both factor sides."""
-    _check_same_grid(A.grid, pou.grid)
     A = singular_value_randomize(A, family_g, stream_g)
     if A.rank == 0:
         return A
-    return _conjugate_multiplier(A, wiener_weight(family_ell, pou, stream_ell))
+    return _conjugate_multiplier(A, wiener_weight(family_ell, A.grid, stream_ell))
 
 
 def sobolev_conjugated_randomize(
@@ -205,7 +206,6 @@ def sobolev_conjugated_randomize(
     which: str = "singular",
     family_g: SubgaussianFamily | None = None,
     family_ell: SubgaussianFamily | None = None,
-    pou: PartitionOfUnity | None = None,
     stream_g: int = 0,
     stream_ell: int = 0,
 ) -> LowRankOperator:
@@ -215,9 +215,7 @@ def sobolev_conjugated_randomize(
     """
     if which not in ("singular", "full"):
         raise ValueError("which must be 'singular' or 'full'")
-    needed = {"family_g": family_g}
-    if which == "full":
-        needed.update(family_ell=family_ell, pou=pou)
+    needed = {"family_g": family_g} | ({"family_ell": family_ell} if which == "full" else {})
     missing = [name for name, value in needed.items() if value is None]
     if missing:
         raise ValueError(f"which = {which!r} needs {' and '.join(missing)}")
@@ -227,7 +225,7 @@ def sobolev_conjugated_randomize(
     if which == "singular":
         out = singular_value_randomize(A, family_g, stream_g)
     else:
-        out = full_randomize(A, family_g, family_ell, pou, stream_g, stream_ell)
+        out = full_randomize(A, family_g, family_ell, stream_g, stream_ell)
     if sigma != 0:
         out = _conjugate_multiplier(out, bessel_multiplier(g, -sigma))
     return out

@@ -49,8 +49,10 @@ def test_check_subcommands_exit_zero(capsys):
     out = capsys.readouterr().out
     assert "alpha = 2" in out and "r = 8" in out
     assert run(["check", "full", "--d", "2", "--p", "2", "--q", "2", "--q-hat", "4", "--r", "4"]) == 0
+    capsys.readouterr()
     assert run(["check", "sobolev", "--d", "2", "--p", "8/3", "--q", "8/3",
-                "--alpha", "16/9", "--s", "1/4"]) in (0, 1)
+                "--alpha", "16/9", "--s", "1/4"]) == 0
+    assert "admissible=True" in capsys.readouterr().out
 
 
 def test_check_validation_failures():

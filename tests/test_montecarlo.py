@@ -1,9 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hartreelab.grid import Field, bessel_multiplier, make_grid
+from hartreelab.grid import Field, apply_multiplier, bessel_multiplier, free_propagate, make_grid
 from hartreelab.linop import (
     LowRankOperator,
     _apply_multiplier_stack,
@@ -23,8 +24,14 @@ from hartreelab.montecarlo import (
     singular_moment_experiment,
     strichartz_admissible,
 )
-from hartreelab.norms import MomentTable, trapezoid_weights
-from hartreelab.randomize import SubgaussianFamily, sample_coefficients
+from hartreelab.norms import MomentTable, Trajectory, density_trajectory, mixed_norm, trapezoid_weights
+from hartreelab.randomize import (
+    SubgaussianFamily,
+    full_randomize,
+    sample_coefficients,
+    sobolev_conjugated_randomize,
+    wiener_randomize,
+)
 
 
 def test_slope_fit_recovers_power_law():
@@ -246,6 +253,84 @@ def test_ensembles_refuse_a_problem_larger_than_memory(monkeypatch):
     for name, call in experiments.items():
         with pytest.raises(ValueError, match=rf"{name} would hold .* \(17, 32\) .* of physical memory"):
             call()
+
+
+@pytest.mark.parametrize("case", ["full-drawn", "full-given", "function", "singular"])
+def test_ensemble_sample_is_the_reference_randomization(case, monkeypatch):
+    # sample m is the statistic of draw m built from randomize.py, the free flow
+    # of norms / grid and mixed_norm: the drawn Hermitian and a given
+    # non-Hermitian full ensemble (its complex branch), the function ensemble on
+    # its default gaussian, and the Sobolev-conjugated singular ensemble
+    d, n, L, M, T, F = 2, 16, 8.0, 4, 0.25, 5
+    grid = make_grid(d, n, L)
+    times = np.linspace(0.0, T, F)
+    fam_g, fam_l = SubgaussianFamily("gaussian", 5), SubgaussianFamily("rademacher", 6)
+    if case.startswith("full"):
+        drawn = []
+
+        def draw(*args, **kwargs):
+            drawn.append(random_low_rank(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(montecarlo, "random_low_rank", draw)
+        op = None if case == "full-drawn" else random_low_rank(
+            grid, 3, np.random.default_rng(9), hermitian=False)
+        table = full_moment_experiment(d, n, L, 3, 2.0, 2.0, 4.0, fam_g, fam_l, M, [4.0],
+                                       T=T, n_frames=F, operator=op)
+        A = recompress(drawn[0] if op is None else op, tol=0.0)
+        assert np.allclose(A.left, A.right) == (op is None)
+
+        def stat(m):
+            B = full_randomize(A, fam_g, fam_l, stream_g=m, stream_ell=m)
+            return mixed_norm(density_trajectory(B, times), 2.0, 4.0)
+    elif case == "function":
+        table = function_moment_experiment(d, n, L, 4.0, 4.0, 4.0, fam_l, M, [4.0], T=T, n_frames=F)
+        f = Field(grid, np.exp(-sum(x**2 for x in grid.x_mesh()) / 2.0))
+
+        def stat(m):
+            fw = wiener_randomize(f, fam_l, stream_id=m)
+            return mixed_norm(Trajectory(times, [free_propagate(fw, t) for t in times]), 4.0, 4.0)
+    else:
+        sigma = 2.0 / 3.0
+        op = random_low_rank(grid, 3, np.random.default_rng(9), hermitian=True)
+        table = singular_moment_experiment(d, n, L, 3, sigma, 3.0, 3.0, fam_g, M, [4.0],
+                                           T=T, n_frames=F, operator=op)
+        weight = bessel_multiplier(grid, sigma)
+
+        def stat(m):
+            B = sobolev_conjugated_randomize(op, sigma, "singular", family_g=fam_g, stream_g=m)
+            rho = density_trajectory(B, times)
+            return mixed_norm(Trajectory(times, [apply_multiplier(weight, r) for r in rho.frames]),
+                              3.0, 3.0)
+    want = [stat(m) for m in range(M)]
+    np.testing.assert_allclose(table.samples, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_full_ensemble_peak_memory(given):
+    # The draw loop reuses its buffers: the drawn Hermitian operator holds one
+    # phased side and its transform (2 rank stacks), a given non-symmetric one
+    # both sides (4 rank stacks) and conjugates the right transform in place.
+    # Everything else (phases, density, the norm's chunk, the factors, the
+    # separable frequency weight) stays under 6 stacks.
+    d, n, L, rank, F = 2, 64, 50.0, 4, 17
+    grid = make_grid(d, n, L)
+    op = random_low_rank(grid, rank, np.random.default_rng(3), hermitian=False) if given else None
+    fam_g, fam_l = SubgaussianFamily("gaussian", 1), SubgaussianFamily("gaussian", 2)
+
+    def run(M):
+        full_moment_experiment(d, n, L, rank, 2.0, 2.0, 4.0, fam_g, fam_l, M, [4.0],
+                               n_frames=F, operator=op)
+
+    run(1)  # first-call caches (FFT plans, grid tables) are not the experiment's
+    tracemalloc.start()
+    try:
+        run(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = F * grid.npoints * np.dtype(complex).itemsize
+    assert peak / stack <= (4 if given else 2) * rank + 6
 
 
 def test_key_probe_bounded_and_refinement_stable():

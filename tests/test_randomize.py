@@ -77,24 +77,26 @@ def test_projections_sum_to_field():
     u = Field(g, rng.standard_normal(g.shape))
     total = np.zeros(g.shape, dtype=complex)
     for k in pou.cells:
-        total = total + unit_projection(u, k, pou).values
+        total = total + unit_projection(u, k).values
     assert np.max(np.abs(total - u.values)) < 1e-12
     with pytest.raises(ValueError):
-        unit_projection(u, (1, 1), pou)
+        unit_projection(u, (1, 1))
 
 
 def test_wiener_weight_matches_projection_sum():
-    g = make_grid(1, 64, 16.0)
-    pou = PartitionOfUnity(g)
+    # the separable weight against the per-cell sum, on every dimension
     fam = SubgaussianFamily("gaussian", 7)
     rng = np.random.default_rng(1)
-    u = Field(g, rng.standard_normal(g.shape))
-    v = wiener_randomize(u, fam, pou, stream_id=2)
-    ells = sample_coefficients(fam, len(pou.cells), stream_id=2)
-    total = np.zeros(g.shape, dtype=complex)
-    for ell, k in zip(ells, pou.cells):
-        total = total + ell * unit_projection(u, k, pou).values
-    assert np.max(np.abs(v.values - total)) < 1e-12
+    for d, n, L in ((1, 64, 16.0), (2, 16, 8.0), (3, 8, 8.0)):
+        g = make_grid(d, n, L)
+        pou = PartitionOfUnity(g)
+        u = Field(g, rng.standard_normal(g.shape))
+        v = wiener_randomize(u, fam, stream_id=2)
+        ells = sample_coefficients(fam, len(pou.cells), stream_id=2)
+        total = np.zeros(g.shape, dtype=complex)
+        for ell, k in zip(ells, pou.cells):
+            total = total + ell * unit_projection(u, k).values
+        assert np.max(np.abs(v.values - total)) < 1e-12
 
 
 def test_degenerate_randomization_is_identity():
@@ -105,11 +107,10 @@ def test_degenerate_randomization_is_identity():
     B = singular_value_randomize(A, fam)
     assert abs(schatten_norm(B, 2).value - schatten_norm(A, 2).value) < 1e-12
     assert np.max(np.abs(to_dense(B).kernel - to_dense(A).kernel)) < 1e-12
-    pou = PartitionOfUnity(g)
-    C = full_randomize(A, fam, fam, pou)
+    C = full_randomize(A, fam, fam)
     assert np.max(np.abs(to_dense(C).kernel - to_dense(A).kernel)) < 1e-10
     u = Field(g, rng.standard_normal(g.shape))
-    w = wiener_randomize(u, fam, pou)
+    w = wiener_randomize(u, fam)
     assert np.max(np.abs(w.values - u.values)) < 1e-12
 
 
@@ -121,13 +122,12 @@ def test_rademacher_preserves_hilbert_schmidt_norm(seed, stream):
     # max|g|, and the full randomization R A^omega R by at most (sup|R|)^2 max|g|.
     g = make_grid(1, 32, 12.0)
     A = random_low_rank(g, 5, np.random.default_rng(seed))  # singular-value form
-    pou = PartitionOfUnity(g)
     fam_g, fam_l = SubgaussianFamily("gaussian", 11), SubgaussianFamily("gaussian", 13)
     rademacher = singular_value_randomize(A, SubgaussianFamily("rademacher", 9), stream)
     gaussian = singular_value_randomize(A, fam_g, stream)
-    full = full_randomize(A, fam_g, fam_l, pou, stream_g=stream, stream_ell=stream)
+    full = full_randomize(A, fam_g, fam_l, stream_g=stream, stream_ell=stream)
     g_max = np.max(np.abs(sample_coefficients(fam_g, A.rank, stream)))
-    r_sup = np.max(np.abs(wiener_weight(fam_l, pou, stream).symbol))
+    r_sup = np.max(np.abs(wiener_weight(fam_l, g, stream).symbol))
     for alpha in (1.0, 4.0 / 3.0, 2.0, 3.0, np.inf):
         base = schatten_norm(A, alpha).value
         assert schatten_norm(rademacher, alpha).value == pytest.approx(base, rel=1e-10)
@@ -151,11 +151,10 @@ def test_full_randomize_shares_weight_on_both_sides():
     g = make_grid(1, 64, 16.0)
     rng = np.random.default_rng(5)
     A = random_low_rank(g, 3, rng, hermitian=True)
-    pou = PartitionOfUnity(g)
     fam_g = SubgaussianFamily("degenerate", 0)
     fam_l = SubgaussianFamily("gaussian", 13)
-    B = full_randomize(A, fam_g, fam_l, pou, stream_ell=1)
-    R = wiener_weight(fam_l, pou, stream_id=1)
+    B = full_randomize(A, fam_g, fam_l, stream_ell=1)
+    R = wiener_weight(fam_l, g, stream_id=1)
     for stack_a, stack_b in ((A.left, B.left), (A.right, B.right)):
         for row_a, row_b in zip(stack_a, stack_b):
             expect = R.symbol * fourier_forward(Field(g, row_a))
@@ -177,15 +176,13 @@ def test_sobolev_conjugation_reduces_at_sigma_zero():
 
 @pytest.mark.parametrize("which, given, missing", [
     ("singular", {}, "family_g"),
-    ("full", {"family_g"}, "family_ell and pou"),
-    ("full", {"family_g", "pou"}, "family_ell"),
-    ("full", {"family_g", "family_ell"}, "pou"),
+    ("full", {"family_g"}, "family_ell"),
 ])
 def test_sobolev_conjugation_names_a_missing_input(which, given, missing):
     g = make_grid(1, 32, 12.0)
     A = random_low_rank(g, 2, np.random.default_rng(8))
     inputs = {"family_g": SubgaussianFamily("gaussian", 1),
-              "family_ell": SubgaussianFamily("rademacher", 2), "pou": PartitionOfUnity(g)}
+              "family_ell": SubgaussianFamily("rademacher", 2)}
     with pytest.raises(ValueError, match=rf"which = '{which}' needs {missing}$"):
         sobolev_conjugated_randomize(A, 0.5, which, **{k: inputs[k] for k in given})
 
