@@ -29,8 +29,12 @@ e^{-it|xi|^2} K̂(xi, eta) e^{+it|eta|^2}, and the commutator with the
 background is the gather F [V, gamma_f] F^* = V̂(xi - eta) (f(eta) - f(xi)) / h^d
 with V̂ = fftn(v) / N and the difference xi - eta wrapped per axis, so
 neither needs a kernel-sized FFT.  Schatten norms are unitarily invariant and
-are read from K̂ directly; densities are the diagonals of x-space kernels.
-The RK4 oracle stays in x-space as the independent reference.
+are read from K̂ directly.  A density is the diagonal of an x-space kernel; a
+caller that keeps only the density reads it from the momentum kernel
+(_momentum_density): the diagonal of U(t) K U(-t) is the inverse FFT of the
+phased sums of K̂ along its wrapped diagonals xi - eta = zeta, folded one axis
+pair at a time, again with no kernel-sized FFT.  The RK4 oracle stays in
+x-space as the independent reference.
 
 The accumulator owns its buffers: each commutator is phased in place and the
 running integral is one array updated in place, so a frame allocates only its
@@ -38,14 +42,15 @@ commutator gather, and a caller that keeps an integral copies it.  The basis
 changes write into a kernel the caller owns (out=, which may be the input):
 a fresh commutator kernel becomes its own momentum kernel, a frame the
 caller keeps is phased and transformed in the one array it returns
-(_x_frame), and the direct L1, which keeps only diagonals, runs every frame
-through one scratch kernel.  The bits are those of the allocating forms.  The
-Picard sweep owns its buffers the same way: it holds one trajectory and
-overwrites frame k in place once the accumulator has read it, building each
+(_x_frame), and the direct L1, which keeps only densities, reads each from the
+running integral with no scratch kernel.  The bits are those of the allocating
+forms.  The Picard sweep owns its buffers the same way: it holds one trajectory
+and overwrites frame k in place once the accumulator has read it, building each
 commutator in one of two buffers that alternate, and a halved window's free
-flow is written over the same frames.  The scattering ladder keeps one previous
-rung and takes each S^4 distance in the Gram form ||A||_4^4 = ||A^* A||_F^2
-(linop._kernel_schatten), not by an SVD.
+flow is written over the same frames.  The scattering ladder keeps no rung: each
+distance ||W(t_{i+1}) - W(t_i)|| is the integral over [t_i, t_{i+1}] alone, one
+accumulator pass from zero at absolute times, and each S^4 distance is taken in
+the Gram form ||A||_4^4 = ||A^* A||_F^2 (linop._kernel_schatten), not by an SVD.
 
 Each dense path (the nonlinear solver, the oracle, the direct L1, scattering)
 first counts the N x N kernels it will hold, and the linear-response march the
@@ -71,6 +76,7 @@ from .grid import (
     bessel_multiplier,
     convolve_potential,
     free_propagator,
+    make_grid,
 )
 from .linop import (
     DenseOperator,
@@ -272,9 +278,63 @@ def _x_frame(Khat: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarray:
     """x-space kernel of U(t) Khat U(-t) for a momentum kernel Khat.
 
     Both steps write into ``out`` (which may be Khat itself) or into one new array.
+    It is for a caller that keeps the whole kernel; a caller that keeps only the
+    density takes _momentum_density, which needs no kernel-sized FFT.
     """
     F = _kernel_free_conj(Khat, grid, t, out=out)
     return _to_x(F, grid, out=F)
+
+
+def _pairwise_sum(terms):
+    """Sum of 2^m arrays added as a balanced binary tree, in place into the earlier
+    operand; it holds at most m + 1 partial sums at a time."""
+    partial = []  # (level, sum of 2^level consecutive terms)
+    for x in terms:
+        level = 0
+        while partial and partial[-1][0] == level:
+            left = partial.pop()[1]
+            left += x
+            x, level = left, level + 1
+        partial.append((level, x))
+    (_, total), = partial
+    return total
+
+
+def _phased_slices(A: np.ndarray, p: np.ndarray):
+    """Per eta_a = e: the slice A[:, zeta_a + e, :, e, :] times p[zeta_a, e], zeta_a wrapped.
+
+    A has axes (folded zeta, xi_a, xi rest, eta_a, eta rest); each slice is a new
+    array of axes (folded zeta, zeta_a, xi rest, eta rest).
+    """
+    P, n, R = A.shape[:3]
+    for e in range(n):
+        part = np.empty((P, n, R, R), dtype=complex)
+        np.multiply(A[:, e:, :, e], p[:n - e, e, None, None], out=part[:, :n - e])
+        np.multiply(A[:, :e, :, e], p[n - e:, e, None, None], out=part[:, n - e:])
+        yield part
+
+
+def _momentum_density(Khat: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+    """x-space diagonal of U(t) Khat U(-t) for a momentum kernel Khat, on the grid.
+
+    The diagonal is rho = ifftn(S), S(zeta) = sum_eta a(eta+zeta) conj(a(eta))
+    Khat(eta+zeta, eta) with a = e^{-it|xi|^2} and eta + zeta wrapped per axis.
+    The phase and the wrap both factor over the axes, so the sum is folded one
+    (xi_a, eta_a) axis pair at a time with one n x n table
+    p[zeta, eta] = a_1(eta+zeta) conj(a_1(eta)): each eta_a slice is phased and
+    written shifted into its wrapped place, and the n slices are added as a
+    pairwise tree.  Khat is read once; the fold holds arrays of N^2 / n
+    entries, and no kernel-sized FFT, index array or scratch kernel.
+    """
+    n, d = grid.n, grid.d
+    a = free_propagator(make_grid(1, n, grid.L), t).symbol
+    j = np.arange(n)
+    p = a[(j[:, None] + j[None, :]) % n] * np.conj(a)
+    S = Khat
+    for axis in range(d):
+        R = n ** (d - axis - 1)
+        S = _pairwise_sum(_phased_slices(S.reshape(n**axis, n, R, n, R), p))
+    return np.fft.ifftn(S.reshape(grid.shape))
 
 
 def _kernel_s2(K: np.ndarray, grid: Grid) -> float:
@@ -526,6 +586,8 @@ def _check_positive(name: str, value: float):
 def _uniform_times(T: float, dt: float) -> np.ndarray:
     _check_positive("T", T)
     _check_positive("dt", dt)
+    if not math.isfinite(T / dt):
+        raise ValueError(f"t / dt must be a finite number of steps, got t = {T}, dt = {dt}")
     K = int(round(T / dt))
     if abs(K * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be an integer multiple of dt")
@@ -688,11 +750,8 @@ def l1_apply_direct(gtr: Trajectory, bg: BackgroundState) -> Trajectory:
     times = gtr.times
     commutator = _background_commutator(bg, lambda k: _flat_potential(bg, gtr.frames[k].values))
 
-    # L1[g] = -rho(D_{w*g}[gamma_f]); only each frame's x-space diagonal is kept, so
-    # every frame's basis change runs in one scratch kernel.
-    scratch = np.empty((g.npoints, g.npoints), dtype=complex)
-    out = [Field(g, -np.diagonal(_x_frame(W, g, t, out=scratch)).reshape(g.shape) if k
-                 else np.zeros(g.shape))
+    # L1[g] = -rho(D_{w*g}[gamma_f]); each frame's density is read from its momentum kernel
+    out = [Field(g, -_momentum_density(W, g, t) if k else np.zeros(g.shape))
            for k, t, W in _duhamel_accumulate(g, times, np.diff(times), commutator)]
     return Trajectory(times, out)
 
@@ -971,8 +1030,9 @@ def scattering_diagnostic(
     successive ladder distances ||W(t_{i+1}) - W(t_i)|| in S^alpha must each
     shrink by a factor 0.9 for a "scattering" verdict.  The n_rungs >= 3 rungs
     T / 2^(n_rungs - i) give at least two distances to compare.  Each distance
-    is taken as its rung arrives, from the one kept previous rung; at alpha = 4
-    it is the Gram form of _kernel_schatten.
+    is the integral over [t_i, t_{i+1}] alone, accumulated from zero, so no
+    rung is kept and no frame before the first rung is taken; at alpha = 4 it
+    is the Gram form of _kernel_schatten.
     """
     g = bg.grid
     if n_rungs < 3:
@@ -987,29 +1047,28 @@ def scattering_diagnostic(
     if n_rungs - 1 > math.log2(len(times) - 1):
         raise ValueError(f"n_rungs = {n_rungs} puts the first rung T / 2^{n_rungs - 1} "
                          f"below dt = {dt}")
-    # the accumulator, the previous rung, and the Gram blocks or the SVD's copies:
-    # peak RSS over the call is 4.5 kernels at alpha = 4 (d=2, N = 1024), 5.5 and 6.1
-    # at alpha = 3 (d=2, N = 1024; d=3, N = 512), 7.0 in the implicit calibration;
+    # the accumulator (integral, two integrands, the gather's index and weights) and
+    # the Gram blocks or the SVD's copies, no kept rung: tracemalloc peak over the call
+    # is 4.1 kernels at d=2, N = 1024 (alpha = 4 or 3, c0 given or calibrated), 4.1 at
+    # d=3, N = 512 (alpha = 3; 4.2 calibrated) and 4.25 at d=2, N = 256;
     # linearized_solve's march before the ladder holds the frequency stacks
     _check_memory(g, "scattering_diagnostic", kernels=_ACCUMULATOR_KERNELS,
                   stacks=_MARCH_STACKS, frames=len(times))
     rho_frames = linearized_solve(Q0, bg, T, dt, c0=c0).rho_frames
 
     ladder = np.array([T / 2 ** (n_rungs - i) for i in range(1, n_rungs + 1)])
-    rungs = {_times_index(times, t) for t in ladder}
+    rungs = [_times_index(times, t) for t in ladder]
 
-    # The rungs stay momentum kernels: the S^alpha distances are unitarily invariant.
+    # W(t_{i+1}) - W(t_i) is the integral over [t_i, t_{i+1}] alone: one accumulator
+    # pass per rung, at absolute times.  It stays a momentum kernel: the S^alpha
+    # distances are unitarily invariant.
     commutator = _background_commutator(bg, lambda k: _flat_potential(bg, rho_frames[k].values))
-    prev, dists = None, []
-    for k, _, W in _duhamel_accumulate(g, times, dt, commutator):
-        if k not in rungs:
-            continue
-        if prev is None:
-            prev = W.copy()
-            continue
-        np.subtract(W, prev, out=prev)
-        dists.append(_kernel_schatten(prev, g, alpha_sc))
-        np.copyto(prev, W)
+    dists = []
+    for a, b in zip(rungs, rungs[1:]):
+        for _, _, W in _duhamel_accumulate(g, times[a:b + 1], dt, lambda k: commutator(a + k)):
+            pass
+        dists.append(_kernel_schatten(W, g, alpha_sc))
+        del W  # else it lives on beside the next rung's integral
     dists = np.array(dists)
     floor = 1e-14 * max(_kernel_s2(to_dense(Q0).kernel, g), 1e-300)
     if np.all(dists <= floor):

@@ -13,7 +13,7 @@ operations are pure; operators are treated as immutable values.
 
 Multipliers act on both representations through the one pass
 grid._apply_multiplier_stack (imported here under that name), and both
-random factor draws end in one weighted QR (_orthonormal_factors).
+random factor draws end in one weighted orthonormalization (_orthonormal_factors).
 """
 
 from __future__ import annotations
@@ -142,9 +142,14 @@ def to_dense(A) -> DenseOperator:
     g = A.grid
     if A.rank == 0:
         return DenseOperator(g, np.zeros((g.npoints, g.npoints)))
-    Lm = A.left.reshape(A.rank, -1)
-    Rm = A.right.reshape(A.rank, -1)
-    return DenseOperator(g, (Lm * A.coeffs[:, None]).T @ np.conj(Rm))
+    # a fixed-order sum of rank-one products, not a GEMM: the same bits under every BLAS kernel
+    Lm = A.left.reshape(A.rank, -1) * A.coeffs[:, None]
+    Rm = np.conj(A.right.reshape(A.rank, -1))
+    K = np.multiply.outer(Lm[0], Rm[0])
+    term = np.empty_like(K)
+    for r in range(1, A.rank):
+        K += np.multiply.outer(Lm[r], Rm[r], out=term)
+    return DenseOperator(g, K)
 
 
 def _core_singular_values(A: LowRankOperator, return_factors: bool = False):
@@ -322,9 +327,15 @@ def _difference_index(grid: Grid) -> np.ndarray:
     array a on the grid: a displacement kernel in space, a convolution
     (circulant) matrix in frequency.
     """
-    coords = np.indices(grid.shape).reshape(grid.d, grid.npoints)
-    diff = [(c[:, None] - c[None, :]) % grid.n for c in coords]
-    return np.ravel_multi_index(diff, grid.shape)
+    n = grid.n
+    j = np.arange(n)
+    D = (j[:, None] - j[None, :]) % n  # the wrapped difference along one axis
+    idx = D
+    for _ in range(grid.d - 1):
+        # one more axis: row (I, i) and column (J, j) give n idx[I, J] + D[i, j]
+        m = len(idx) * n
+        idx = ((n * idx)[:, None, :, None] + D[None, :, None, :]).reshape(m, m)
+    return idx
 
 
 def _displacement_kernel(m: FourierMultiplier) -> np.ndarray:
@@ -441,16 +452,25 @@ def hermitian_defect(A) -> float:
 
 def _orthonormal_factors(grid: Grid, rank: int, draw, hermitian: bool,
                          coeffs: np.ndarray | None) -> LowRankOperator:
-    """The random factor draws' one tail: rank check, then a weighted QR of each
-    (rank,) + grid.shape draw() (one draw when hermitian), default coefficients 1/n.
+    """The random factor draws' one tail: rank check, then a weighted orthonormalization
+    of each (rank,) + grid.shape draw() (one draw when hermitian), default coefficients 1/n.
+
+    The factors are orthonormalized by two passes of modified Gram-Schmidt whose
+    inner products are np.sum reductions, not a LAPACK QR, so they are the same
+    bits under every BLAS kernel.
     """
     if not 1 <= rank <= grid.npoints:
         raise ValueError(f"rank must be between 1 and {grid.npoints}, got {rank}")
     w = np.sqrt(grid.h**grid.d)
 
     def orthonormal():
-        Q, _ = np.linalg.qr(w * draw().reshape(rank, -1).T)
-        return Q.T.reshape((rank,) + grid.shape) / w
+        V = w * draw().reshape(rank, -1)
+        for _ in range(2):
+            for i, v in enumerate(V):
+                for u in V[:i]:
+                    v -= np.sum(np.conj(u) * v) * u
+                v /= np.sqrt(np.sum(np.square(v.real) + np.square(v.imag)))
+        return V.reshape((rank,) + grid.shape) / w
 
     left = orthonormal()
     right = left if hermitian else orthonormal()

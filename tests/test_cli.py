@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartreelab.cli import _grid_from_config, _initial_operator, _load_config, run
+from hartreelab.cli import (
+    _grid_from_config,
+    _initial_operator,
+    _load_config,
+    _openblas_core,
+    run,
+)
 from hartreelab.norms import density_trajectory, lebesgue_norm
 
 DATA = Path(__file__).parent / "data"
@@ -120,6 +126,44 @@ def test_hartree_solve_reproduces_golden_trajectory(tmp_path):
     for lg, lw in zip(got[1:], want[1:]):
         for a, b in zip(lg.split(",")[:3], lw.split(",")[:3]):
             assert abs(float(a) - float(b)) <= 1e-10
+
+
+# OpenBLAS kernels the golden solve is pinned under, by the name OpenBLAS reports,
+# with the CPU flags each needs
+_CORE_FLAGS = {
+    "SkylakeX": {"avx512f", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+    "Nehalem": {"sse4_2"},
+    "Katmai": {"sse"},
+}
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+@pytest.mark.parametrize("core", sorted(_CORE_FLAGS))
+def test_golden_solve_is_the_same_bits_under_every_blas_kernel(tmp_path, core):
+    # the golden path forms its factors and its dense kernel without BLAS, so each
+    # OpenBLAS kernel the CPU can run writes the committed bytes
+    if _openblas_core() is None:
+        pytest.skip("no DYNAMIC_ARCH OpenBLAS is loaded, so its kernel cannot be chosen")
+    if not _CORE_FLAGS[core] <= _cpu_flags():
+        pytest.skip(f"this CPU cannot run the {core} kernel")
+    out = tmp_path / core
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_CORETYPE=core)
+    res = subprocess.run([sys.executable, "-m", "hartreelab.cli", "hartree", "solve",
+                          "--config", str(DATA / "reference_d1.config"), "--out", str(out)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads((out / "record.json").read_text())["env"]["blas"]["core"] == core
+    assert (out / "trajectory.csv").read_bytes() == (DATA / "golden_trajectory.csv").read_bytes()
 
 
 def test_record_carries_environment_fingerprint(tmp_path):
@@ -265,6 +309,16 @@ def test_bad_time_grid_is_a_validation_error(tmp_path, action, key, value):
     assert res.returncode == 1
     assert "Traceback" not in res.stdout + res.stderr
     assert res.stderr.startswith("error:") and f"got {float(value)}" in res.stderr
+
+
+@pytest.mark.parametrize("action, extra", [("solve", ""), ("solve", "oracle = yes\n"),
+                                           ("linearized", ""), ("scatter", "")])
+def test_an_overflowing_step_count_is_a_validation_error(tmp_path, capsys, action, extra):
+    # t / dt overflows to inf: refused by name, not an OverflowError from int()
+    cfg = _write(tmp_path / "huge.config", HARTREE_CONFIG.format(n=8, t=1e308, dt=0.01) + extra)
+    assert run(["hartree", action, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t / dt" in err and "t = 1e+308, dt = 0.01" in err
 
 
 def test_picard_refuses_a_solve_larger_than_memory(tmp_path):

@@ -7,6 +7,7 @@ from hartreelab.grid import Field, bessel_multiplier, identity_multiplier, make_
 from hartreelab.linop import (
     DenseOperator,
     LowRankOperator,
+    _difference_index,
     add,
     adjoint,
     commutator_potential,
@@ -272,3 +273,17 @@ def test_recompress_error_is_within_tolerance(d, seed, tol):
     R = recompress(A, tol)
     err = schatten_norm(add(A, scale(R, -1.0)), 2).value
     assert err <= (tol + 1e-12) * schatten_norm(A, 2).value
+
+
+def _difference_index_by_ravel(grid):
+    """The reference construction: every entry's per-axis differences, raveled."""
+    coords = np.indices(grid.shape).reshape(grid.d, grid.npoints)
+    diff = [(c[:, None] - c[None, :]) % grid.n for c in coords]
+    return np.ravel_multi_index(diff, grid.shape)
+
+
+@pytest.mark.parametrize("d, n", [(1, 8), (1, 64), (2, 8), (2, 32), (3, 8), (3, 16)])
+def test_difference_index_matches_the_raveled_construction(d, n):
+    g = make_grid(d, n, 10.0)
+    got, want = _difference_index(g), _difference_index_by_ravel(g)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

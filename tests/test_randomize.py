@@ -59,13 +59,13 @@ def test_streams_reproducible_and_independent():
 
 
 def test_partition_sums_to_one():
-    for d, n, L in ((1, 64, 16.0), (2, 16, 8.0)):
+    for d, n, L in ((1, 64, 16.0), (2, 16, 8.0), (3, 8, 8.0)):
         g = make_grid(d, n, L)
         pou = PartitionOfUnity(g)
         total = np.zeros(g.shape)
         for k in pou.cells:
             total = total + pou.cell_symbol(k)
-    assert np.max(np.abs(total - 1.0)) < 1e-12
+        assert np.max(np.abs(total - 1.0)) < 1e-12, f"d={d}"
     with pytest.raises(ValueError):
         PartitionOfUnity(make_grid(1, 32, 4.0))
 
