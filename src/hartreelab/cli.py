@@ -11,7 +11,7 @@ report       aggregate run records into one summary table
 Every experiment reads a flat key = value config with sections and writes
 exactly one JSON run record next to its CSV tables; replaying the record's
 command with the same seed reproduces the tables byte for byte.  Exit codes:
-0 success, 1 validation error, 2 numeric failure.
+0 success, 1 validation error, 2 numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -575,6 +575,9 @@ def run(argv=None) -> int:
         return EXIT_VALIDATION
     except RuntimeError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as e:  # past the size rule, e.g. under an address-space limit
+        print(f"out of memory: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

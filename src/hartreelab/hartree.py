@@ -90,6 +90,7 @@ from .linop import (
     conjugate_free,
     recompress,
     scale,
+    schatten_norm,
     to_dense,
 )
 from .norms import Trajectory, lebesgue_norm, mixed_norm, density_trajectory, trapezoid_weights
@@ -583,7 +584,12 @@ def _check_positive(name: str, value: float):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _uniform_times(T: float, dt: float) -> np.ndarray:
+def _uniform_times(T: float, dt: float, check=None) -> np.ndarray:
+    """The K + 1 times of [0, T] at step dt.
+
+    check(K + 1), the caller's memory rule for that many frames, runs before
+    the times are formed, so a huge step count is refused, not allocated.
+    """
     _check_positive("T", T)
     _check_positive("dt", dt)
     if not math.isfinite(T / dt):
@@ -593,6 +599,8 @@ def _uniform_times(T: float, dt: float) -> np.ndarray:
         raise ValueError("T must be an integer multiple of dt")
     if K < 4:
         raise ValueError("need at least 4 time steps")
+    if check is not None:
+        check(K + 1)
     return dt * np.arange(K + 1)
 
 
@@ -621,8 +629,8 @@ def picard_solve(
     _check_positive("tol", tol)
     g = bg.grid
     T = float(T_target)
-    times = _uniform_times(T, dt)
-    _check_memory(g, "picard_solve", kernels=len(times) + _PICARD_KERNELS)
+    times = _uniform_times(T, dt, lambda frames: _check_memory(
+        g, "picard_solve", kernels=frames + _PICARD_KERNELS))
     K0 = to_dense(Q0).kernel
     if np.linalg.norm(K0 - np.conj(K0).T) > 1e-8 * max(np.linalg.norm(K0), 1e-300):
         raise ValueError("initial data must be self-adjoint")
@@ -691,9 +699,9 @@ def picard_solve(
 def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun:
     """Classical 4th-order time stepping on the dense kernel (reference path)."""
     g = bg.grid
-    times = _uniform_times(T, dt)
     # every frame, plus gamma_f, the state, four stages and the rhs temporaries
-    _check_memory(g, "dense_rk4_oracle", kernels=len(times) + 10)
+    times = _uniform_times(T, dt, lambda frames: _check_memory(
+        g, "dense_rk4_oracle", kernels=frames + 10))
     kf = gamma_f_kernel(bg)
     kin = FourierMultiplier(g, g.xi_squared())  # -Laplacian; even, so its own reflection
 
@@ -986,8 +994,8 @@ def linearized_solve(
     refuses it).
     """
     g = bg.grid
-    times = _uniform_times(T, dt)
-    _check_memory(g, "linearized_solve", stacks=_MARCH_STACKS, frames=len(times))
+    times = _uniform_times(T, dt, lambda frames: _check_memory(
+        g, "linearized_solve", stacks=_MARCH_STACKS, frames=frames))
     if c0 is None:
         vanishes = not (np.any(bg.f.symbol) and np.any(bg.w_hat.symbol))
         c0 = 0.0 if vanishes else calibrate_l1_constant(bg).c0
@@ -1043,17 +1051,17 @@ def scattering_diagnostic(
         alpha_sc = 2.0 * g.d / (g.d - 1.0)
     if not (math.isfinite(alpha_sc) and alpha_sc >= 1):
         raise ValueError(f"alpha_sc must be finite and >= 1, got {alpha_sc}")
-    times = _uniform_times(T, dt)
-    if n_rungs - 1 > math.log2(len(times) - 1):
-        raise ValueError(f"n_rungs = {n_rungs} puts the first rung T / 2^{n_rungs - 1} "
-                         f"below dt = {dt}")
     # the accumulator (integral, two integrands, the gather's index and weights) and
     # the Gram blocks or the SVD's copies, no kept rung: tracemalloc peak over the call
     # is 4.1 kernels at d=2, N = 1024 (alpha = 4 or 3, c0 given or calibrated), 4.1 at
     # d=3, N = 512 (alpha = 3; 4.2 calibrated) and 4.25 at d=2, N = 256;
     # linearized_solve's march before the ladder holds the frequency stacks
-    _check_memory(g, "scattering_diagnostic", kernels=_ACCUMULATOR_KERNELS,
-                  stacks=_MARCH_STACKS, frames=len(times))
+    times = _uniform_times(T, dt, lambda frames: _check_memory(
+        g, "scattering_diagnostic", kernels=_ACCUMULATOR_KERNELS, stacks=_MARCH_STACKS,
+        frames=frames))
+    if n_rungs - 1 > math.log2(len(times) - 1):
+        raise ValueError(f"n_rungs = {n_rungs} puts the first rung T / 2^{n_rungs - 1} "
+                         f"below dt = {dt}")
     rho_frames = linearized_solve(Q0, bg, T, dt, c0=c0).rho_frames
 
     ladder = np.array([T / 2 ** (n_rungs - i) for i in range(1, n_rungs + 1)])
@@ -1070,7 +1078,7 @@ def scattering_diagnostic(
         dists.append(_kernel_schatten(W, g, alpha_sc))
         del W  # else it lives on beside the next rung's integral
     dists = np.array(dists)
-    floor = 1e-14 * max(_kernel_s2(to_dense(Q0).kernel, g), 1e-300)
+    floor = 1e-14 * max(schatten_norm(Q0, 2).value, 1e-300)
     if np.all(dists <= floor):
         ok = True
         verdict = "trivial (free evolution)"

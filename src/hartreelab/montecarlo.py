@@ -10,6 +10,16 @@ Draw m uses sample stream m, so tables are identical for any batching of
 the ensemble.  The time window [0, T] is short enough that wavepackets stay
 well inside the periodic box.
 
+Each ensemble runs on one thread per usable core (os.sched_getaffinity),
+with no option to set: numpy's FFT, matmul, einsum and reductions release
+the GIL, so the threads overlap.  One core runs inline, with no thread.
+The full experiment's workers take draws i, i + W, ..., each draw in W
+chunks of frames; the singular and function experiments' workers take
+blocks of draws in turn, whose size does not depend on W.  A draw's
+statistic is the same computation on any worker, so the tables are
+identical for any number of workers.  All workers together hold at most
+one draw's transforms (full) or one block of draws (singular, function).
+
 The singular experiment propagates its factors through the batched free
 flow (linop._free_frames).  Its mode densities l_n conj(r_n) are real for
 Hermitian data, and then each block of draws is one real matrix product (a
@@ -25,6 +35,8 @@ rounding (about 1e-15 relative), not bit for bit.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -106,16 +118,19 @@ def fit_moment_slope(table: MomentTable) -> SlopeFit:
     return SlopeFit(slope, intercept, float(lo), float(hi))
 
 
-def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q) -> np.ndarray:
-    """L^p_t L^q_x per draw for fields of shape (M, K, *spatial).
+def _space_norms(fields: np.ndarray, hd: float, q, workers: int = 1) -> np.ndarray:
+    """L^q_x per draw and frame, shape (M, K), for fields of shape (M, K, *spatial).
 
     q in {1, 2, 3, 4} takes |a|^q by repeated multiplication in place, which
-    is several times cheaper than the general power; other q use a**q.
+    is several times cheaper than the general power; other q use a**q.  Draws
+    go in chunks of about _CHUNK_ENTRIES / workers entries, so that workers
+    running at once hold one chunk together.  Each (draw, frame) sum is its
+    own reduction, so any split of the draws or frames gives the same bits.
     """
     M, K = fields.shape[:2]
     fields = fields.reshape(M, K, -1)
     s = np.empty((M, K))
-    step = max(1, _CHUNK_ENTRIES // fields[0].size)
+    step = max(1, _CHUNK_ENTRIES // (workers * fields[0].size))
     for i in range(0, M, step):
         rows = slice(i, i + step)
         a = np.abs(fields[rows])
@@ -130,26 +145,98 @@ def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q) 
             s[rows] = np.sum(a**q, axis=2)
     if not np.isinf(q):
         s = (hd * s) ** (1.0 / q)
+    return s
+
+
+def _time_norms(s: np.ndarray, weights: np.ndarray, p) -> np.ndarray:
+    """L^p_t per draw of the (M, K) spatial norms s, with trapezoid weights."""
     if np.isinf(p):
         return s.max(axis=1)
     return np.sum(weights[None, :] * s**p, axis=1) ** (1.0 / p)
 
 
-def _check_ensemble(M: int, T: float, orders, **exponents):
+def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q,
+                      workers: int = 1) -> np.ndarray:
+    """L^p_t L^q_x per draw for fields of shape (M, K, *spatial)."""
+    return _time_norms(_space_norms(fields, hd, q, workers), weights, p)
+
+
+def _workers(parts: int) -> int:
+    """Threads for parts independent pieces of work: one per usable core, at most parts."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, parts))
+
+
+def _in_threads(W: int, work) -> None:
+    """Run work(0), ..., work(W - 1), one thread each; W = 1 runs inline, with no thread.
+
+    numpy's FFT, matmul, einsum and reductions release the GIL, so the
+    workers overlap.  Once every thread has ended, the first exception a
+    worker raised is re-raised here.
+    """
+    if W == 1:
+        work(0)
+        return
+    errors = []
+
+    def run(i):
+        try:
+            work(i)
+        except Exception as e:  # re-raised in the caller
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(W)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
+def _check_ensemble(M: int, T: float, orders, n_frames: int, sigma: float = 0.0, **exponents):
     """Input checks shared by the three moment experiments.
 
-    ``exponents`` names the values that the exact exponent arithmetic
-    (fractions) needs finite.
+    ``exponents`` names the Lebesgue exponents (p, q, q_hat): the exact
+    exponent arithmetic (fractions) needs them finite, and a norm needs them
+    >= 1.  sigma and the moment orders must be finite too.
     """
-    for name, value in exponents.items():
+    for name, value in dict(exponents, sigma=sigma).items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in exponents.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if M < 1:
         raise ValueError("ensemble size M must be >= 1")
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"time window T must be finite and positive, got {T}")
     if len(orders) == 0:
         raise ValueError("moment orders must be non-empty, got []")
+    if not all(math.isfinite(r) for r in orders):
+        raise ValueError(f"moment orders must be finite, got {list(orders)}")
+    if n_frames < 2:
+        raise ValueError(f"n_frames must be >= 2, got {n_frames}")
+
+
+# a block of draws is split in this many parts, which workers take in turn
+_BLOCK_PARTS = 8
+
+
+def _draw_blocks(M: int, block: int) -> tuple:
+    """(W, b) for an ensemble that may hold block draws at once: W workers take
+    blocks of b draws in turn, and hold at most min(block, M) draws together.
+
+    b does not depend on W: a BLAS product's bits may depend on how many
+    draws it takes (one row goes to gemv, not gemm), so the blocks are the
+    same for any number of workers.
+    """
+    held = min(block, M)
+    b = max(1, held // _BLOCK_PARTS)
+    return _workers(held // b), b
 
 
 def singular_moment_experiment(
@@ -176,12 +263,13 @@ def singular_moment_experiment(
     costs one small tensor contraction; when the mode densities are real
     (Hermitian data), each block of draws is one real matrix product.
     """
-    _check_ensemble(M, T, orders, p=p, q=q, sigma=sigma)
+    _check_ensemble(M, T, orders, n_frames, sigma=sigma, p=p, q=q)
     singular_estimate_exponents(p, q, Fraction(sigma).limit_denominator(10**6), d)
     grid = make_grid(d, n, L)
     R = rank if operator is None else operator.rank
     # (n_frames, N) complex stacks: the mode stack, its real copy and the free-flow
-    # and draw blocks; tracemalloc peak 7.1 and 10.4 stacks at R = 2 and 4 (d=2, N = 65536)
+    # and draw blocks; tracemalloc peak at most 6.0 and 8.4 stacks at R = 2 and 4 on
+    # 1, 2 or 3 workers (d=2, N = 65536, 3 draws)
     _check_memory(grid, "singular_moment_experiment", stacks=2 * R + 4, frames=n_frames)
     if operator is None:
         op_rng = np.random.default_rng(np.random.SeedSequence(entropy=op_seed, spawn_key=(0xA0,)))
@@ -216,18 +304,24 @@ def singular_moment_experiment(
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
     samples = np.empty(M)
-    block = max(1, int(4e6 // (n_frames * grid.npoints)))
-    for start in range(0, M, block):
-        stop = min(M, start + block)
-        C = np.array([coeffs * sample_coefficients(family, A.rank, m) for m in range(start, stop)])
-        fields = (C @ modes).reshape((stop - start, n_frames) + grid.shape)
-        samples[start:stop] = _mixed_norm_batch(fields, w, hd, p, q)
+    W, b = _draw_blocks(M, max(1, int(4e6 // (n_frames * grid.npoints))))
+    bufs = np.empty((W, b, modes.shape[1]), dtype=modes.dtype)
 
+    def work(i):  # blocks i, i + W, ... of b draws
+        for start in range(i * b, M, W * b):
+            stop = min(M, start + b)
+            C = np.array([coeffs * sample_coefficients(family, A.rank, m)
+                          for m in range(start, stop)])
+            fields = np.matmul(C, modes, out=bufs[i, :stop - start])
+            samples[start:stop] = _mixed_norm_batch(
+                fields.reshape((stop - start, n_frames) + grid.shape), w, hd, p, q, W)
+
+    _in_threads(W, work)
     meta = {
         "experiment": "singular",
         "d": d, "n": n, "L": L, "rank": A.rank, "sigma": sigma,
         "p": p, "q": q, "T": T, "n_frames": n_frames,
-        "family": family.to_record(),
+        "family": family.to_record(), "workers": W,
     }
     return MomentTable.from_samples(samples, orders, seed=family.seed, meta=meta)
 
@@ -254,19 +348,21 @@ def full_moment_experiment(
     Each draw reweights both factor sides by one shared random frequency
     multiplier and the singular values by independent coefficient draws.
     The phased factor transforms are formed once; each draw multiplies them
-    by its multiplier and inverse-transforms in place, in buffers it reuses.
+    by its multiplier and inverse-transforms in place, one chunk of frames at
+    a time, in its worker's buffers.
     For symmetric factors the density sum_n c_n g_n |l_n|^2 is formed in real
     arithmetic; other factors keep the complex product.
     """
-    _check_ensemble(M, T, orders, p=p, q=q, q_hat=q_hat)
+    _check_ensemble(M, T, orders, n_frames, p=p, q=q, q_hat=q_hat)
     full_estimate_check(p, q, q_hat, min(float(r) for r in orders), d)
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
     R = rank if operator is None else operator.rank
     # (n_frames, N) complex stacks: a phased side and its transform per rank (both sides
     # for a given operator), phases, density, norm chunk; plus N-vectors (factors, their
-    # transforms, the operator draw). tracemalloc peak at d=2, N = 4096, R = 2 / 4, 9 frames:
-    # drawn 10.2 / 13.9 stacks, given 12.0 / 20.9 (12.4 / 15.7 and 12.8 / 22.4 at 5 frames)
+    # transforms, the operator draw). tracemalloc peak at d=2, N = 4096, R = 2 / 4, 9
+    # frames, the largest on 1, 2 or 3 workers: drawn 9.3 / 14.1 stacks, given 12.8 / 21.5
+    # (10.2 / 17.3 and 14.7 / 24.7 at 5 frames, which 3 workers take in chunks of 2)
     _check_memory(grid, "full_moment_experiment", frames=n_frames,
                   stacks=(2 if operator is None else 4) * R + 4 + (6 * R + 24) / n_frames)
     if operator is None:
@@ -281,33 +377,47 @@ def full_moment_experiment(
     symmetric = np.allclose(A.left, A.right)
     phases = np.stack([free_propagator(grid, t).symbol for t in times])
     lph = lhat[:, None] * phases[None]
-    lt = np.empty(lph.shape, dtype=complex)
-    rph, rt = (None, lt) if symmetric else (rhat[:, None] * phases[None], np.empty_like(lph))
-    flat = lt.reshape(A.rank, -1).view(float)  # interleaved (re, im) of lt
+    rph = None if symmetric else rhat[:, None] * phases[None]
     spatial = tuple(range(2, d + 2))
 
-    w = trapezoid_weights(times)
+    # worker i takes draws i, i + W, ..., each in W chunks of c frames, so its
+    # transforms span c frames and all workers together hold one draw's
+    W = _workers(M)
+    c = -(-n_frames // W)
+    bufs = np.empty((W, 1 if symmetric else 2, A.rank * c * grid.npoints), dtype=complex)
+    s = np.empty((M, n_frames))  # L^q_hat_x per draw and frame
     hd = grid.h**grid.d
-    samples = np.empty(M)
-    for m in range(M):
-        g = sample_coefficients(family_g, A.rank, m)
-        ell = sample_coefficients(family_ell, len(pou.cells), m)
-        R = pou.weight(ell)
-        np.fft.ifftn(np.multiply(lph, R, out=lt), axes=spatial, out=lt)
-        if symmetric:
-            # rho = sum_n c_n g_n |l_n|^2 is real: the singular values and draws are
-            sq = np.einsum("n,nm,nm->m", A.coeffs.real * g, flat, flat)
-            rho = (sq[0::2] + sq[1::2]).reshape(lt.shape[1:])
-        else:
-            np.fft.ifftn(np.multiply(rph, R, out=rt), axes=spatial, out=rt)
-            rho = np.einsum("n,nk...,nk...->k...", A.coeffs * g, lt, np.conjugate(rt, out=rt))
-        samples[m] = _mixed_norm_batch(rho[None], w, hd, p, q_hat)[0]
 
+    def work(i):
+        for m in range(i, M, W):
+            g = sample_coefficients(family_g, A.rank, m)
+            ell = sample_coefficients(family_ell, len(pou.cells), m)
+            R = pou.weight(ell)
+            for a in range(0, n_frames, c):
+                k = slice(a, a + c)
+                shape = (A.rank, min(c, n_frames - a)) + grid.shape
+                lt = bufs[i, 0, :math.prod(shape)].reshape(shape)
+                np.fft.ifftn(np.multiply(lph[:, k], R, out=lt), axes=spatial, out=lt)
+                if symmetric:
+                    # rho = sum_n c_n g_n |l_n|^2 is real: the singular values and draws are
+                    flat = lt.reshape(A.rank, -1).view(float)  # interleaved (re, im) of lt
+                    sq = np.einsum("n,nm,nm->m", A.coeffs.real * g, flat, flat)
+                    rho = sq[0::2] + sq[1::2]
+                else:
+                    rt = bufs[i, 1, :lt.size].reshape(shape)
+                    np.fft.ifftn(np.multiply(rph[:, k], R, out=rt), axes=spatial, out=rt)
+                    rho = np.einsum("n,nk...,nk...->k...", A.coeffs * g, lt,
+                                    np.conjugate(rt, out=rt))
+                s[m, k] = _space_norms(rho.reshape(1, shape[1], -1), hd, q_hat)[0]
+
+    _in_threads(W, work)
+    samples = _time_norms(s, trapezoid_weights(times), p)
     meta = {
         "experiment": "full",
         "d": d, "n": n, "L": L, "rank": A.rank,
         "p": p, "q": q, "q_hat": q_hat, "T": T, "n_frames": n_frames,
         "family_g": family_g.to_record(), "family_ell": family_ell.to_record(),
+        "workers": W,
     }
     return MomentTable.from_samples(samples, orders, seed=family_g.seed, meta=meta)
 
@@ -339,9 +449,10 @@ def function_moment_experiment(
     """Moments of ||U(t) f^omega||_{L^p_t L^{q_hat}_x} under Wiener randomization.
 
     The phased transform of f is formed once; each block of draws multiplies
-    it by the draws' multipliers and inverse-transforms in place, in one buffer.
+    it by the draws' multipliers and inverse-transforms in place, in its
+    worker's buffer.
     """
-    _check_ensemble(M, T, orders)
+    _check_ensemble(M, T, orders, n_frames, p=p, q=q, q_hat=q_hat)
     if not strichartz_admissible(p, q, d):
         raise ValueError("(p, q) is not a Strichartz-admissible pair")
     if q_hat < q:
@@ -350,10 +461,10 @@ def function_moment_experiment(
         raise ValueError("moment orders must be >= max(p, q_hat)")
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
-    block = max(1, int(4e6 // (n_frames * grid.npoints)))
+    block = max(1, int(4e6 // (n_frames * grid.npoints)))  # draws held by all workers
     # (n_frames, N) complex stacks: the phases, the phased transform, a block of draws
-    # and the norm's chunk of them; tracemalloc peak 8.7 / 8.4 / 8.2 stacks at 5 / 9 / 17
-    # frames (d=2, N = 4096, 3 draws)
+    # and the norm's chunk of them; tracemalloc peak at most 6.7 / 7.4 / 6.2 stacks at
+    # 5 / 9 / 17 frames on 1, 2 or 3 workers (d=2, N = 4096, 3 draws)
     _check_memory(grid, "function_moment_experiment", frames=n_frames,
                   stacks=3 + 2 * min(block, M))
     if f is None:
@@ -366,21 +477,25 @@ def function_moment_experiment(
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
     samples = np.empty(M)
-    buf = np.empty((min(block, M), n_frames) + grid.shape, dtype=complex)
-    for start in range(0, M, block):
-        stop = min(M, start + block)
-        ells = np.array(
-            [sample_coefficients(family, len(pou.cells), m) for m in range(start, stop)]
-        )
-        R = pou.weight(ells)
-        frames = np.multiply(fph, R[:, None], out=buf[: stop - start])
-        np.fft.ifftn(frames, axes=tuple(range(2, d + 2)), out=frames)
-        samples[start:stop] = _mixed_norm_batch(frames, w, hd, p, q_hat)
+    W, b = _draw_blocks(M, block)
+    bufs = np.empty((W, b, n_frames) + grid.shape, dtype=complex)
 
+    def work(i):  # blocks i, i + W, ... of b draws
+        for start in range(i * b, M, W * b):
+            stop = min(M, start + b)
+            ells = np.array(
+                [sample_coefficients(family, len(pou.cells), m) for m in range(start, stop)]
+            )
+            R = pou.weight(ells)
+            frames = np.multiply(fph, R[:, None], out=bufs[i, : stop - start])
+            np.fft.ifftn(frames, axes=tuple(range(2, d + 2)), out=frames)
+            samples[start:stop] = _mixed_norm_batch(frames, w, hd, p, q_hat, W)
+
+    _in_threads(W, work)
     meta = {
         "experiment": "function",
         "d": d, "n": n, "L": L, "p": p, "q": q, "q_hat": q_hat,
-        "T": T, "n_frames": n_frames, "family": family.to_record(),
+        "T": T, "n_frames": n_frames, "family": family.to_record(), "workers": W,
     }
     return MomentTable.from_samples(samples, orders, seed=family.seed, meta=meta)
 

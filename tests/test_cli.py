@@ -321,6 +321,29 @@ def test_an_overflowing_step_count_is_a_validation_error(tmp_path, capsys, actio
     assert err.startswith("error:") and "t / dt" in err and "t = 1e+308, dt = 0.01" in err
 
 
+@pytest.mark.parametrize("action, extra, what", [
+    ("solve", "", "picard_solve"), ("solve", "oracle = yes\n", "dense_rk4_oracle"),
+    ("linearized", "", "linearized_solve"), ("scatter", "", "scattering_diagnostic")])
+def test_a_huge_step_count_is_refused_before_it_allocates(tmp_path, capsys, action, extra, what):
+    # t / dt = 1e10 is finite, but its times alone take 80 GB: the memory rule refuses
+    # the run (exit 1) before the times are formed, so no MemoryError (exit 2) is reached
+    cfg = _write(tmp_path / "huge.config", HARTREE_CONFIG.format(n=8, t=1e10, dt=1) + extra)
+    assert run(["hartree", action, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} would hold about") and "of physical memory" in err
+
+
+def test_an_allocation_that_fails_exits_two(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)")
+
+    monkeypatch.setattr("hartreelab.cli.singular_moment_experiment", exhausted)
+    cfg = _write(tmp_path / "exp.config", SINGULAR_CONFIG)
+    assert run(["strichartz", "singular", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory:") and "74.5 GiB" in err
+
+
 def test_picard_refuses_a_solve_larger_than_memory(tmp_path):
     # 10001 frames of 1024^2 complex entries: Picard holds 1 stack plus 7 working
     # kernels (10008 kernels), the RK4 oracle 1 stack plus 10 working kernels (10011)
@@ -417,6 +440,49 @@ def test_bad_input_is_a_validation_error(tmp_path, command, overrides, named):
     assert "Traceback" not in res.stdout + res.stderr
     assert res.stderr.startswith("error:") and named in res.stderr
 
+
+
+_ENSEMBLE_CONFIGS = {
+    "singular": SINGULAR_CONFIG,
+    "full": "[grid]\nd = 2\nn = 8\nL = 8.0\n\n[experiment]\nrank = 2\np = 2\nq = 2\n"
+            "q_hat = 4\nm = 5\norders = 4 8\nt = 0.25\nn_frames = 5\n\n"
+            "[randomization_g]\nseed = 1\n\n[randomization_ell]\nseed = 2\n",
+    "function": "[grid]\nd = 1\nn = 32\nL = 16.0\n\n[experiment]\np = 6\nq = 6\n"
+                "q_hat = 6\nm = 5\norders = 8 16\nt = 0.25\nn_frames = 5\n\n"
+                "[randomization]\nseed = 1\n",
+}
+
+# (kind, [experiment] key, value, text the error line must contain)
+_BAD_ENSEMBLES = [
+    ("singular", "p", "0", "p must be >= 1, got 0.0"),
+    ("singular", "p", "1e-300", "p must be >= 1, got 1e-300"),
+    ("singular", "q", "0", "q must be >= 1, got 0.0"),
+    ("singular", "q", "1e-300", "q must be >= 1, got 1e-300"),
+    ("singular", "orders", "2 inf", "moment orders must be finite, got [2.0, inf]"),
+    ("singular", "n_frames", "1", "n_frames must be >= 2, got 1"),
+    ("full", "p", "0", "p must be >= 1, got 0.0"),
+    ("full", "q", "1e-300", "q must be >= 1, got 1e-300"),
+    ("full", "q_hat", "0", "q_hat must be >= 1, got 0.0"),
+    ("full", "q_hat", "inf", "q_hat must be finite, got inf"),
+    ("full", "orders", "inf", "moment orders must be finite, got [inf]"),
+    ("full", "orders", "4 -inf", "moment orders must be finite, got [4.0, -inf]"),
+    ("full", "n_frames", "0", "n_frames must be >= 2, got 0"),
+    ("function", "p", "1e-300", "p must be >= 1, got 1e-300"),
+    ("function", "q", "0", "q must be >= 1, got 0.0"),
+    ("function", "q_hat", "nan", "q_hat must be finite, got nan"),
+    ("function", "orders", "8 inf", "moment orders must be finite, got [8.0, inf]"),
+    ("function", "n_frames", "0", "n_frames must be >= 2, got 0"),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, named", _BAD_ENSEMBLES,
+                         ids=[f"{k}-{key}={v}" for k, key, v, _ in _BAD_ENSEMBLES])
+def test_bad_ensemble_config_exits_one_by_name(tmp_path, capsys, kind, key, value, named):
+    # checked in-process: an exception that escapes run() fails the test
+    cfg = _write(tmp_path / "bad.config", _with(_ENSEMBLE_CONFIGS[kind], {("experiment", key): value}))
+    assert run(["strichartz", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
 
 
 def test_malformed_config_is_a_validation_error(tmp_path):

@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -347,3 +349,135 @@ def test_key_probe_validates_arguments():
         key_estimate_probe(2, 16, 8.0, 3, 2.0, 2.0, 2, 0.5, 8, 1)  # mu must be < 2 at d=2
     with pytest.raises(ValueError):
         key_estimate_probe(1, 32, 16.0, 3, 1.0, 2.0, 3, 0.5, 8, 1)  # alpha not in {2, inf}
+
+
+def _force_workers(monkeypatch, W):
+    # W usable cores: the ensembles then run W threads, on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(W)), raising=False)
+
+
+def _ensemble(kind, M, given):
+    d, n, L, F = 2, 16, 8.0, 5
+    grid = make_grid(d, n, L)
+    fam_g, fam_l = SubgaussianFamily("gaussian", 5), SubgaussianFamily("rademacher", 6)
+    op = random_low_rank(grid, 3, np.random.default_rng(9), hermitian=False) if given else None
+    if kind == "singular":
+        return singular_moment_experiment(d, n, L, 3, 2.0 / 3.0, 3.0, 3.0, fam_g, M, [4.0],
+                                          T=0.25, n_frames=F, operator=op)
+    if kind == "full":
+        return full_moment_experiment(d, n, L, 3, 2.0, 2.0, 4.0, fam_g, fam_l, M, [4.0],
+                                      T=0.25, n_frames=F, operator=op)
+    return function_moment_experiment(d, n, L, 4.0, 4.0, 4.0, fam_l, M, [4.0], T=0.25, n_frames=F)
+
+
+@pytest.mark.parametrize("M", [2, 19])
+@pytest.mark.parametrize("kind, given", [("singular", False), ("singular", True),
+                                         ("full", False), ("full", True), ("function", False)])
+def test_ensembles_are_the_same_bits_on_any_number_of_workers(kind, given, M, monkeypatch):
+    # draw m is the same computation on whichever worker takes it, and a full
+    # draw split into chunks of frames keeps each frame's sums: M = 2 is fewer
+    # draws than workers; M = 19 is no multiple of 2 or 3, and its blocks of 2
+    # draws end in a block of one; 5 frames split unevenly
+    tables = {}
+    for W in (1, 2, 3):
+        _force_workers(monkeypatch, W)
+        tables[W] = _ensemble(kind, M, given)
+        assert tables[W].meta["workers"] == min(W, M)
+    assert np.array_equal(tables[1].samples, tables[2].samples)
+    assert np.array_equal(tables[1].samples, tables[3].samples)
+
+
+@pytest.mark.parametrize("kind, given", [("singular", True), ("full", False), ("full", True),
+                                         ("function", False)])
+def test_more_workers_than_cores_under_fast_switching(kind, given, monkeypatch):
+    # 8 threads on any host, switching every 10 microseconds: each worker writes
+    # only its own draws' samples, so none is lost or written twice
+    _force_workers(monkeypatch, 1)
+    want = _ensemble(kind, 23, given).samples
+    _force_workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = _ensemble(kind, 23, given)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.meta["workers"] == 8
+    assert np.array_equal(got.samples, want)
+
+
+@pytest.mark.parametrize("kind", ["singular", "full", "function"])
+def test_a_worker_error_reaches_the_caller(kind, monkeypatch):
+    # draw 5 fails on whichever worker takes it; the caller sees its ValueError,
+    # not NaN samples, and every worker thread has ended
+    _force_workers(monkeypatch, 3)
+    baseline = threading.active_count()
+
+    def failing(family, count, stream_id=0):
+        if stream_id == 5:
+            raise ValueError("draw 5 failed")
+        return sample_coefficients(family, count, stream_id)
+
+    monkeypatch.setattr(montecarlo, "sample_coefficients", failing)
+    with pytest.raises(ValueError, match="draw 5 failed"):
+        _ensemble(kind, 9, False)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("kind", ["singular", "full", "function"])
+def test_one_usable_core_starts_no_thread(kind, monkeypatch):
+    _force_workers(monkeypatch, 1)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started on one usable core")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert _ensemble(kind, 7, False).meta["workers"] == 1
+
+
+def test_workers_fall_back_to_the_cpu_count(monkeypatch):
+    # hosts without an affinity call count their cores, and at most one per part
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert montecarlo._workers(10) == 3 and montecarlo._workers(2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert montecarlo._workers(10) == 1
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_full_ensemble_peak_memory_on_two_workers(given, monkeypatch):
+    # two workers each hold the transforms of half a draw's frames: the same bound
+    _force_workers(monkeypatch, 2)
+    test_full_ensemble_peak_memory(given)
+
+
+@pytest.mark.parametrize("kind", ["singular", "function"])
+def test_block_ensembles_hold_at_most_one_block_on_any_workers(kind, monkeypatch):
+    # Draws go in blocks of b = held // 8, the same for any number of workers, and
+    # each worker holds one block at a time: more workers add their blocks, never
+    # more than the held = min(block, M) draws of one single-threaded block.  At
+    # d=2, N = 1024, 17 frames, block = 229 draws, so b = 28 and at most 8 workers.
+    M, F, N = 400, 17, 1024
+    held, b = 229, 28
+    # one draw's frames: real for the Hermitian singular ensemble, complex plus
+    # its frequency weight for the function ensemble
+    draw = F * N * 8 if kind == "singular" else F * N * 16 + N * 8
+    fam = SubgaussianFamily("gaussian", 4)
+
+    def run(M):
+        if kind == "singular":
+            return singular_moment_experiment(2, 32, 12.0, 4, 2.0 / 3.0, 3.0, 3.0, fam, M, [4.0])
+        return function_moment_experiment(2, 32, 12.0, 4.0, 4.0, 4.0, fam, M, [4.0])
+
+    peaks = {}
+    for W in (1, 2, 8, 16):
+        _force_workers(monkeypatch, W)
+        run(2)  # first-call caches (FFT plans, grid tables) are not the experiment's
+        tracemalloc.start()
+        try:
+            assert run(M).meta["workers"] == min(W, held // b)
+            peaks[W] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for W in (2, 8, 16):
+        assert peaks[W] - peaks[1] <= (min(W, held // b) - 1) * b * draw + 0.05 * held * draw
+    assert peaks[16] - peaks[1] <= (held - b) * draw
