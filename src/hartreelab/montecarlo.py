@@ -6,19 +6,21 @@ whose log-log slope in the moment order r is the observed growth rate.  The
 theory gives upper bounds (r^{1/2} for coefficient randomization, r^{3/2}
 for the full randomization), so acceptance checks the slope from above only.
 
-Draw m uses sample stream m, so tables are identical for any batching of
-the ensemble.  The time window [0, T] is short enough that wavepackets stay
-well inside the periodic box.
+Draw m uses sample stream m, and no matrix product takes a single draw
+(unless at most two draws fit in memory at once), so sample m has the same
+bits in any ensemble of two or more draws.  The time window [0, T] is short
+enough that wavepackets stay well inside the periodic box.
 
 Each ensemble runs on one thread per usable core (os.sched_getaffinity),
 with no option to set: numpy's FFT, matmul, einsum and reductions release
 the GIL, so the threads overlap.  One core runs inline, with no thread.
-The full experiment's workers take draws i, i + W, ..., each draw in W
-chunks of frames; the singular and function experiments' workers take
-blocks of draws in turn, whose size does not depend on W.  A draw's
-statistic is the same computation on any worker, so the tables are
-identical for any number of workers.  All workers together hold at most
-one draw's transforms (full) or one block of draws (singular, function).
+The full experiment's W <= n_frames workers take draws i, i + W, ..., each
+draw in chunks of frames whose sizes add up to n_frames; the singular and
+function experiments' workers take blocks of draws in turn, whose sizes do
+not depend on W.  A draw's statistic is the same computation on any worker,
+so the tables are identical for any number of workers.  All workers
+together hold one draw's transforms (full) or at most one block of draws
+of the single-threaded rule (singular, function).
 
 The singular experiment propagates its factors through the batched free
 flow (linop._free_frames).  Its mode densities l_n conj(r_n) are real for
@@ -171,30 +173,33 @@ def _workers(parts: int) -> int:
 
 
 def _in_threads(W: int, work) -> None:
-    """Run work(0), ..., work(W - 1), one thread each; W = 1 runs inline, with no thread.
+    """Run work(0, stop), ..., work(W - 1, stop), one thread each; W = 1 runs
+    inline, with no thread.
 
     numpy's FFT, matmul, einsum and reductions release the GIL, so the
-    workers overlap.  Once every thread has ended, the first exception a
-    worker raised is re-raised here.
+    workers overlap.  Each work loop returns once the event stop is set,
+    which a failing worker or an interrupted caller sets: the other workers
+    end at their next draw, and the worker's exception is re-raised here.
     """
+    stop = threading.Event()
     if W == 1:
-        work(0)
+        work(0, stop)
         return
-    errors = []
+    # imported here: concurrent.futures loads logging, about 9 ms of every command's start
+    from concurrent.futures import ThreadPoolExecutor
 
     def run(i):
         try:
-            work(i)
-        except Exception as e:  # re-raised in the caller
-            errors.append(e)
+            work(i, stop)
+        except BaseException:
+            stop.set()
+            raise
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(W)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(W) as pool:
+        try:
+            list(pool.map(run, range(W)))
+        finally:
+            stop.set()
 
 
 def _check_ensemble(M: int, T: float, orders, n_frames: int, sigma: float = 0.0, **exponents):
@@ -227,16 +232,22 @@ _BLOCK_PARTS = 8
 
 
 def _draw_blocks(M: int, block: int) -> tuple:
-    """(W, b) for an ensemble that may hold block draws at once: W workers take
-    blocks of b draws in turn, and hold at most min(block, M) draws together.
+    """(W, rows, bounds) for an ensemble that may hold block draws at once: W
+    workers take the blocks bounds[j]:bounds[j + 1] of at most rows draws in
+    turn, and together hold at most min(block, M) draws.
 
-    b does not depend on W: a BLAS product's bits may depend on how many
-    draws it takes (one row goes to gemv, not gemm), so the blocks are the
-    same for any number of workers.
+    A one-row BLAS product (gemv) may give other bits than the same row of a
+    multi-row one (gemm), so no block has one draw, unless at most two draws
+    fit: blocks have b >= 2 draws and a lone last draw joins the block before.
+    The blocks do not depend on W, so the tables are the same for any W.
     """
     held = min(block, M)
-    b = max(1, held // _BLOCK_PARTS)
-    return _workers(held // b), b
+    if held < 3:  # no room for a block of b + 1 >= 3 draws
+        bounds = list(range(0, M, held)) + [M]
+    else:
+        bounds = list(range(0, M - 1, max(2, held // _BLOCK_PARTS))) + [M]
+    rows = max(b - a for a, b in zip(bounds, bounds[1:]))
+    return _workers(held // rows), rows, bounds
 
 
 def singular_moment_experiment(
@@ -268,8 +279,8 @@ def singular_moment_experiment(
     grid = make_grid(d, n, L)
     R = rank if operator is None else operator.rank
     # (n_frames, N) complex stacks: the mode stack, its real copy and the free-flow
-    # and draw blocks; tracemalloc peak at most 6.0 and 8.4 stacks at R = 2 and 4 on
-    # 1, 2 or 3 workers (d=2, N = 65536, 3 draws)
+    # and draw blocks; tracemalloc peak at most 5.0 and 7.9 stacks at R = 2 and 4 on
+    # 1, 2, 3 or 8 workers (d=2, N = 65536, 3 or 10 draws)
     _check_memory(grid, "singular_moment_experiment", stacks=2 * R + 4, frames=n_frames)
     if operator is None:
         op_rng = np.random.default_rng(np.random.SeedSequence(entropy=op_seed, spawn_key=(0xA0,)))
@@ -304,12 +315,13 @@ def singular_moment_experiment(
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
     samples = np.empty(M)
-    W, b = _draw_blocks(M, max(1, int(4e6 // (n_frames * grid.npoints))))
-    bufs = np.empty((W, b, modes.shape[1]), dtype=modes.dtype)
+    W, rows, bounds = _draw_blocks(M, max(1, int(4e6 // (n_frames * grid.npoints))))
+    bufs = np.empty((W, rows, modes.shape[1]), dtype=modes.dtype)
 
-    def work(i):  # blocks i, i + W, ... of b draws
-        for start in range(i * b, M, W * b):
-            stop = min(M, start + b)
+    def work(i, halt):  # blocks i, i + W, ...
+        for start, stop in zip(bounds[i:-1:W], bounds[i + 1::W]):
+            if halt.is_set():
+                return
             C = np.array([coeffs * sample_coefficients(family, A.rank, m)
                           for m in range(start, stop)])
             fields = np.matmul(C, modes, out=bufs[i, :stop - start])
@@ -358,13 +370,15 @@ def full_moment_experiment(
     grid = make_grid(d, n, L)
     pou = PartitionOfUnity(grid)
     R = rank if operator is None else operator.rank
+    W = _workers(min(M, n_frames))
     # (n_frames, N) complex stacks: a phased side and its transform per rank (both sides
     # for a given operator), phases, density, norm chunk; plus N-vectors (factors, their
-    # transforms, the operator draw). tracemalloc peak at d=2, N = 4096, R = 2 / 4, 9
-    # frames, the largest on 1, 2 or 3 workers: drawn 9.3 / 14.1 stacks, given 12.8 / 21.5
-    # (10.2 / 17.3 and 14.7 / 24.7 at 5 frames, which 3 workers take in chunks of 2)
+    # transforms, the operator draw) and up to 4 per worker (its frequency weight and
+    # density). tracemalloc peak at d=2, N = 4096, R = 2 / 4, 5 frames: 1 worker drawn
+    # 9.8 / 15.8 stacks, given 12.9 / 22.5; 5 workers drawn 11.3 / 18.1, given 15.8 / 25.2
+    # (at most 3.7 N-vectors more per worker; 9 and 17 frames add less)
     _check_memory(grid, "full_moment_experiment", frames=n_frames,
-                  stacks=(2 if operator is None else 4) * R + 4 + (6 * R + 24) / n_frames)
+                  stacks=(2 if operator is None else 4) * R + 4 + (6 * R + 24 + 4 * W) / n_frames)
     if operator is None:
         op_rng = np.random.default_rng(np.random.SeedSequence(entropy=op_seed, spawn_key=(0xA1,)))
         operator = random_low_rank(grid, rank, op_rng, hermitian=True)
@@ -380,23 +394,26 @@ def full_moment_experiment(
     rph = None if symmetric else rhat[:, None] * phases[None]
     spatial = tuple(range(2, d + 2))
 
-    # worker i takes draws i, i + W, ..., each in W chunks of c frames, so its
-    # transforms span c frames and all workers together hold one draw's
-    W = _workers(M)
-    c = -(-n_frames // W)
-    bufs = np.empty((W, 1 if symmetric else 2, A.rank * c * grid.npoints), dtype=complex)
+    # worker i takes draws i, i + W, ..., each in chunks of c_i frames; the c_i add
+    # up to n_frames, so all workers' transforms together span one draw's frames
+    chunks = [len(range(i, n_frames, W)) for i in range(W)]
+    bufs = [np.empty((1 if symmetric else 2, A.rank * c * grid.npoints), dtype=complex)
+            for c in chunks]
     s = np.empty((M, n_frames))  # L^q_hat_x per draw and frame
     hd = grid.h**grid.d
 
-    def work(i):
+    def work(i, halt):
+        c = chunks[i]
         for m in range(i, M, W):
+            if halt.is_set():
+                return
             g = sample_coefficients(family_g, A.rank, m)
             ell = sample_coefficients(family_ell, len(pou.cells), m)
             R = pou.weight(ell)
             for a in range(0, n_frames, c):
                 k = slice(a, a + c)
                 shape = (A.rank, min(c, n_frames - a)) + grid.shape
-                lt = bufs[i, 0, :math.prod(shape)].reshape(shape)
+                lt = bufs[i][0, :math.prod(shape)].reshape(shape)
                 np.fft.ifftn(np.multiply(lph[:, k], R, out=lt), axes=spatial, out=lt)
                 if symmetric:
                     # rho = sum_n c_n g_n |l_n|^2 is real: the singular values and draws are
@@ -404,7 +421,7 @@ def full_moment_experiment(
                     sq = np.einsum("n,nm,nm->m", A.coeffs.real * g, flat, flat)
                     rho = sq[0::2] + sq[1::2]
                 else:
-                    rt = bufs[i, 1, :lt.size].reshape(shape)
+                    rt = bufs[i][1, :lt.size].reshape(shape)
                     np.fft.ifftn(np.multiply(rph[:, k], R, out=rt), axes=spatial, out=rt)
                     rho = np.einsum("n,nk...,nk...->k...", A.coeffs * g, lt,
                                     np.conjugate(rt, out=rt))
@@ -463,8 +480,9 @@ def function_moment_experiment(
     pou = PartitionOfUnity(grid)
     block = max(1, int(4e6 // (n_frames * grid.npoints)))  # draws held by all workers
     # (n_frames, N) complex stacks: the phases, the phased transform, a block of draws
-    # and the norm's chunk of them; tracemalloc peak at most 6.7 / 7.4 / 6.2 stacks at
-    # 5 / 9 / 17 frames on 1, 2 or 3 workers (d=2, N = 4096, 3 draws)
+    # and the norm's chunk of them; tracemalloc peak at most 8.8 / 8.4 / 8.2 stacks at
+    # 5 / 9 / 17 frames (d=2, N = 4096, 3 draws: one block); with 100 draws 27.7 / 24.4 /
+    # 13.8 on 1 worker, 111.4 / 106.4 / 64.5 on 8 (one block of 100 is 203 / 203 / 117)
     _check_memory(grid, "function_moment_experiment", frames=n_frames,
                   stacks=3 + 2 * min(block, M))
     if f is None:
@@ -477,12 +495,13 @@ def function_moment_experiment(
     w = trapezoid_weights(times)
     hd = grid.h**grid.d
     samples = np.empty(M)
-    W, b = _draw_blocks(M, block)
-    bufs = np.empty((W, b, n_frames) + grid.shape, dtype=complex)
+    W, rows, bounds = _draw_blocks(M, block)
+    bufs = np.empty((W, rows, n_frames) + grid.shape, dtype=complex)
 
-    def work(i):  # blocks i, i + W, ... of b draws
-        for start in range(i * b, M, W * b):
-            stop = min(M, start + b)
+    def work(i, halt):  # blocks i, i + W, ...
+        for start, stop in zip(bounds[i:-1:W], bounds[i + 1::W]):
+            if halt.is_set():
+                return
             ells = np.array(
                 [sample_coefficients(family, len(pou.cells), m) for m in range(start, stop)]
             )

@@ -99,6 +99,10 @@ def test_singular_experiment_batching_independence():
     a = singular_moment_experiment(1, 32, 16.0, 3, 0.5, 8.0, 4.0, fam, M=40, **kwargs)
     b = singular_moment_experiment(1, 32, 16.0, 3, 0.5, 8.0, 4.0, fam, M=60, **kwargs)
     assert np.array_equal(a.samples, b.samples[:40])
+    # blocks of 2 draws at M = 10 and 17, of 5 at M = 41: no product takes one draw
+    for M in (10, 17, 41):
+        c = singular_moment_experiment(1, 32, 16.0, 3, 0.5, 8.0, 4.0, fam, M=M, **kwargs)
+        assert np.array_equal(c.samples, b.samples[:M])
 
 
 def _singular_reference(grid, operator, sigma, p, q, family, M, T, n_frames):
@@ -376,13 +380,14 @@ def _ensemble(kind, M, given):
 def test_ensembles_are_the_same_bits_on_any_number_of_workers(kind, given, M, monkeypatch):
     # draw m is the same computation on whichever worker takes it, and a full
     # draw split into chunks of frames keeps each frame's sums: M = 2 is fewer
-    # draws than workers; M = 19 is no multiple of 2 or 3, and its blocks of 2
-    # draws end in a block of one; 5 frames split unevenly
+    # full draws than workers and one block of 2; M = 19 is no multiple of 2 or
+    # 3, and its blocks of 2 draws end in a block of 3; 5 frames split unevenly
     tables = {}
     for W in (1, 2, 3):
         _force_workers(monkeypatch, W)
         tables[W] = _ensemble(kind, M, given)
-        assert tables[W].meta["workers"] == min(W, M)
+        # at most one worker per full draw, or per 2 (M = 2) or 3 draws (M = 19) of a block
+        assert tables[W].meta["workers"] == min(W, M if kind == "full" else {2: 1, 19: 6}[M])
     assert np.array_equal(tables[1].samples, tables[2].samples)
     assert np.array_equal(tables[1].samples, tables[3].samples)
 
@@ -390,18 +395,19 @@ def test_ensembles_are_the_same_bits_on_any_number_of_workers(kind, given, M, mo
 @pytest.mark.parametrize("kind, given", [("singular", True), ("full", False), ("full", True),
                                          ("function", False)])
 def test_more_workers_than_cores_under_fast_switching(kind, given, monkeypatch):
-    # 8 threads on any host, switching every 10 microseconds: each worker writes
-    # only its own draws' samples, so none is lost or written twice
+    # 8 threads (one per frame, 5, for the full ensemble) on any host, switching
+    # every 10 microseconds: each worker writes only its own draws' samples, so
+    # none is lost or written twice
     _force_workers(monkeypatch, 1)
-    want = _ensemble(kind, 23, given).samples
+    want = _ensemble(kind, 24, given).samples
     _force_workers(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        got = _ensemble(kind, 23, given)
+        got = _ensemble(kind, 24, given)
     finally:
         sys.setswitchinterval(interval)
-    assert got.meta["workers"] == 8
+    assert got.meta["workers"] == (5 if kind == "full" else 8)
     assert np.array_equal(got.samples, want)
 
 
@@ -421,6 +427,25 @@ def test_a_worker_error_reaches_the_caller(kind, monkeypatch):
     with pytest.raises(ValueError, match="draw 5 failed"):
         _ensemble(kind, 9, False)
     assert threading.active_count() == baseline
+
+
+def test_a_worker_error_stops_the_other_workers(monkeypatch):
+    # once draw 5 has failed, each other worker samples at most the draw it is in
+    _force_workers(monkeypatch, 3)
+    after = []
+
+    def failing(family, count, stream_id=0):
+        if after:
+            after.append(stream_id)
+        if stream_id == 5:
+            after.append(stream_id)
+            raise ValueError("draw 5 failed")
+        return sample_coefficients(family, count, stream_id)
+
+    monkeypatch.setattr(montecarlo, "sample_coefficients", failing)
+    with pytest.raises(ValueError, match="draw 5 failed"):
+        _ensemble("full", 300, False)
+    assert len(after) <= 1 + 2 * 2  # two samples (g, ell) per full draw
 
 
 @pytest.mark.parametrize("kind", ["singular", "full", "function"])
@@ -448,6 +473,35 @@ def test_full_ensemble_peak_memory_on_two_workers(given, monkeypatch):
     # two workers each hold the transforms of half a draw's frames: the same bound
     _force_workers(monkeypatch, 2)
     test_full_ensemble_peak_memory(given)
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_full_ensemble_on_more_cores_than_frames_holds_one_draw(given, monkeypatch):
+    # 8 cores, 8 draws, 5 frames: 5 workers of one frame each hold one draw's
+    # transforms; each further worker adds at most the memory rule's 4 N-vectors
+    d, n, L, rank, F = 2, 64, 50.0, 4, 5
+    grid = make_grid(d, n, L)
+    op = random_low_rank(grid, rank, np.random.default_rng(3), hermitian=False) if given else None
+    fam_g, fam_l = SubgaussianFamily("gaussian", 1), SubgaussianFamily("gaussian", 2)
+    stack = F * grid.npoints * np.dtype(complex).itemsize
+    peaks = {}
+    for W in (1, 8):
+        _force_workers(monkeypatch, W)
+
+        def run(M):
+            return full_moment_experiment(d, n, L, rank, 2.0, 2.0, 4.0, fam_g, fam_l, M, [4.0],
+                                          n_frames=F, operator=op)
+
+        run(1)  # first-call caches (FFT plans, grid tables) are not the experiment's
+        tracemalloc.start()
+        try:
+            assert run(8).meta["workers"] == min(W, F)
+            peaks[W] = tracemalloc.get_traced_memory()[1] / stack
+        finally:
+            tracemalloc.stop()
+    W = min(8, F)
+    assert peaks[8] <= (4 if given else 2) * rank + 4 + (6 * rank + 24 + 4 * W) / F
+    assert peaks[8] <= peaks[1] + 4 * (W - 1) / F
 
 
 @pytest.mark.parametrize("kind", ["singular", "function"])
