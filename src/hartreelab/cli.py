@@ -142,11 +142,25 @@ def _orders(s: str) -> list:
     return [float(x) for x in s.replace(",", " ").split()]
 
 
+def _in_range(x: float, p: int) -> bool:
+    """x > 0 with x^p and x^-p finite and nonzero, so no power of it that is formed
+    over- or underflows."""
+    try:
+        return math.isfinite(x) and x > 0 and 0 < x**p < math.inf and 0 < x**-p < math.inf
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
 def _grid_from_config(cp):
     d = _get(cp, "grid", "d", int, required=True)
     n = _get(cp, "grid", "n", int, required=True)
     L = _get(cp, "grid", "L", float, required=True)
-    return make_grid(d, n, L)
+    grid = make_grid(d, n, L)
+    # volumes, weights and |xi|^2 are powers of L and h = L / n up to the 2d-th
+    if not (_in_range(L, 2 * d) and _in_range(grid.h, 2 * d)):
+        raise ValidationError(f"bad config value [grid] L = {L!r}: L^(2d) and (L/n)^(2d) and "
+                              "their inverses must be finite and nonzero")
+    return grid
 
 
 def _family_from_config(cp, section: str) -> SubgaussianFamily:
@@ -174,6 +188,9 @@ def _initial_operator(cp, grid):
         return random_low_rank(grid, rank, rng, hermitian=True)
     if kind == "localized":
         width = _get(cp, "initial", "width", float, default=1.5)
+        if not _in_range(width, 2):
+            raise ValidationError(f"bad config value [initial] width = {width!r}: width^2 and "
+                                  "its inverse must be finite and nonzero")
         return localized_low_rank(grid, rank, rng, width=width)
     raise ValidationError(f"unknown initial data kind {kind!r}")
 
@@ -316,9 +333,8 @@ def _cmd_strichartz(args) -> int:
     cp = _load_config(args.config)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    d = _get(cp, "grid", "d", int, required=True)
-    n = _get(cp, "grid", "n", int, required=True)
-    L = _get(cp, "grid", "L", float, required=True)
+    grid = _grid_from_config(cp)
+    d, n, L = grid.d, grid.n, grid.L
     M = _get(cp, "experiment", "m", int, required=True)
     orders = _get(cp, "experiment", "orders", _orders, required=True)
     T = _get(cp, "experiment", "t", float, default=0.5)

@@ -22,6 +22,11 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 __all__ = [
     "Grid",
     "Field",
@@ -247,19 +252,27 @@ def _check_memory(grid: Grid, what: str, kernels: int = 0, stacks: float = 0, fr
     and stacks (frames, N) stacks, all complex.
 
     The one size rule: a ValueError names the byte estimate when it exceeds
-    physical memory.  Hosts without these os.sysconf names are not checked.
+    physical memory or the process's soft address-space limit (RLIMIT_AS),
+    where one is set.  A bound the host does not report is not checked.
     """
     N = grid.npoints
     need = (kernels * N + stacks * frames) * N * np.dtype(complex).itemsize
+    bounds = []
     try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        bounds.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                       "of physical memory"))
     except (AttributeError, ValueError, OSError):
-        return
+        pass
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            bounds.append((soft, "address-space limit of this process (RLIMIT_AS)"))
+    have, limit = min(bounds, default=(float("inf"), ""))
     if need > have:
         held = [f"{kernels} dense {N}x{N} kernels"] if kernels else []
         held += [f"{stacks:g} ({frames}, {N}) frequency stacks"] if stacks else []
         raise ValueError(
             f"{what} would hold about {need / 1e9:.1f} GB ({' and '.join(held)}), more "
-            f"than the {have / 1e9:.1f} GB of physical memory; "
+            f"than the {have / 1e9:.1f} GB {limit}; "
             "use a coarser grid or fewer time steps"
         )

@@ -36,21 +36,33 @@ phased sums of K̂ along its wrapped diagonals xi - eta = zeta, folded one axis
 pair at a time, again with no kernel-sized FFT.  The RK4 oracle stays in
 x-space as the independent reference.
 
+The Picard sweep holds frame k of its iterate as Y_k = F^* Q̂_k = Q_k F^*: x in
+the row index, momentum in the column index.  A = Q + gamma_f is Hermitian and
+v = w * rho is real, so [v, A] = v A - (v A)^*: its momentum kernel is X - X^*
+with X = F (v (Y_k + F^* D)), D = diag(f) / h^d the momentum kernel of gamma_f
+(_frame_commutator).  A new frame is F^* applied to the phased momentum kernel
+K̂0 + W_k (_y_frame), and its density is rho(x) = sum_eta Y[x, eta] F[eta, x]
+(_y_density), a row-wise dot with the symmetric DFT matrix.  So a frame of a
+sweep costs one FFT pass over the row index each way, where an x-space frame
+needs two full basis changes; a kept frame becomes the x-space kernel Y F by
+one pass over the column index when it is first read (_KernelFrames), and a
+caller that reads only the contraction record pays for none.
+
 The accumulator owns its buffers: each commutator is phased in place and the
 running integral is one array updated in place, so a frame allocates only its
 commutator gather, and a caller that keeps an integral copies it.  The basis
 changes write into a kernel the caller owns (out=, which may be the input):
-a fresh commutator kernel becomes its own momentum kernel, a frame the
-caller keeps is phased and transformed in the one array it returns
-(_x_frame), and the direct L1, which keeps only densities, reads each from the
-running integral with no scratch kernel.  The bits are those of the allocating
-forms.  The Picard sweep owns its buffers the same way: it holds one trajectory
-and overwrites frame k in place once the accumulator has read it, building each
-commutator in one of two buffers that alternate, and a halved window's free
-flow is written over the same frames.  The scattering ladder keeps no rung: each
-distance ||W(t_{i+1}) - W(t_i)|| is the integral over [t_i, t_{i+1}] alone, one
-accumulator pass from zero at absolute times, and each S^4 distance is taken in
-the Gram form ||A||_4^4 = ||A^* A||_F^2 (linop._kernel_schatten), not by an SVD.
+a fresh commutator kernel becomes its own momentum kernel, and the direct L1,
+which keeps only densities, reads each from the running integral with no
+scratch kernel.  The bits are those of the allocating forms.  The Picard sweep
+owns its buffers the same way: it holds one trajectory of Y frames, builds each
+commutator in one of two buffers that alternate, writes the new frame k into the
+buffer the accumulator has just released and swaps it with the old frame once
+the old one has been read, and writes a halved window's free flow over the same
+frames.  The scattering ladder keeps no rung: each distance ||W(t_{i+1}) - W(t_i)||
+is the integral over [t_i, t_{i+1}] alone, one accumulator pass from zero at
+absolute times, and each S^4 distance is taken in the Gram form
+||A||_4^4 = ||A^* A||_F^2 (linop._kernel_schatten), not by an SVD.
 
 Each dense path (the nonlinear solver, the oracle, the direct L1, scattering)
 first counts the N x N kernels it will hold, and the linear-response march the
@@ -62,6 +74,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,10 +241,11 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
 _ACCUMULATOR_KERNELS = 7
 
 
-# N x N kernels picard_solve holds besides its one trajectory: K0hat, gamma_f, the
-# spare frame, two commutator buffers, the real potential difference (half a
-# kernel) and the running integral.  tracemalloc peak: frames + 6.9 at d=2, N = 256
-# (51 frames; 6.7 on a window halved from 17), frames + 6.6 at d=3, N = 512 (21 frames)
+# N x N kernels picard_solve holds besides its one trajectory: K0hat, F^*, F^* D, two
+# commutator buffers (one takes each new frame) and the running integral, 6 in all,
+# plus a few N-vectors per frame (densities, their deltas).  tracemalloc peak:
+# frames + 6.59 at d=2, N = 256 (51 frames; 6.37 on a window halved from 17),
+# frames + 6.13 at d=3, N = 512 (21 frames)
 _PICARD_KERNELS = 7
 
 
@@ -243,24 +257,35 @@ _PICARD_KERNELS = 7
 _MARCH_STACKS = 6
 
 
+def _dft_half(K: np.ndarray, grid: Grid, transform, leading: bool, out=None) -> np.ndarray:
+    """The unitary ``transform`` (np.fft.fftn or np.fft.ifftn) over one index of a kernel.
+
+    leading takes the row index (the first d axes of K viewed as grid.shape * 2),
+    otherwise the column index.  With F the unitary DFT, which is symmetric,
+    fftn gives F K or K F and ifftn gives F^* K or K F^*.  The result goes to
+    ``out`` (a C-contiguous complex N x N array, which may be K) or to a new array.
+    """
+    d, N = grid.d, grid.npoints
+    axes = tuple(range(d)) if leading else tuple(range(d, 2 * d))
+    A = transform(K.reshape(grid.shape * 2), axes=axes, norm="ortho",
+                  out=None if out is None else out.reshape(grid.shape * 2))
+    return A.reshape(N, N)
+
+
 def _to_mom(K: np.ndarray, grid: Grid, out=None) -> np.ndarray:
     """Momentum kernel F K F^* of an x-space kernel, F the unitary DFT.
 
     Both passes write into ``out`` (a C-contiguous complex N x N array, which
     may be K itself) or into one new array; the bits are the same either way.
     """
-    d, N = grid.d, grid.npoints
-    A = np.fft.fftn(K.reshape(grid.shape * 2), axes=tuple(range(d)), norm="ortho",
-                    out=None if out is None else out.reshape(grid.shape * 2))
-    return np.fft.ifftn(A, axes=tuple(range(d, 2 * d)), norm="ortho", out=A).reshape(N, N)
+    A = _dft_half(K, grid, np.fft.fftn, True, out=out)
+    return _dft_half(A, grid, np.fft.ifftn, False, out=A)
 
 
 def _to_x(K: np.ndarray, grid: Grid, out=None) -> np.ndarray:
     """x-space kernel F^* K F of a momentum kernel, the inverse of _to_mom (same ``out``)."""
-    d, N = grid.d, grid.npoints
-    A = np.fft.ifftn(K.reshape(grid.shape * 2), axes=tuple(range(d)), norm="ortho",
-                     out=None if out is None else out.reshape(grid.shape * 2))
-    return np.fft.fftn(A, axes=tuple(range(d, 2 * d)), norm="ortho", out=A).reshape(N, N)
+    A = _dft_half(K, grid, np.fft.ifftn, True, out=out)
+    return _dft_half(A, grid, np.fft.fftn, False, out=A)
 
 
 def _kernel_free_conj(K: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarray:
@@ -275,15 +300,100 @@ def _kernel_free_conj(K: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarr
     return out
 
 
-def _x_frame(Khat: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarray:
-    """x-space kernel of U(t) Khat U(-t) for a momentum kernel Khat.
+def _y_frame(Khat: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarray:
+    """Y = F^* U(t) Khat U(-t) for a momentum kernel Khat: x in the row index, momentum
+    in the column index, so that Y F is the x-space kernel.
 
     Both steps write into ``out`` (which may be Khat itself) or into one new array.
+    """
+    P = _kernel_free_conj(Khat, grid, t, out=out)
+    return _dft_half(P, grid, np.fft.ifftn, True, out=P)
+
+
+def _x_frame(Khat: np.ndarray, grid: Grid, t: float) -> np.ndarray:
+    """x-space kernel of U(t) Khat U(-t) for a momentum kernel Khat, in a new array.
+
     It is for a caller that keeps the whole kernel; a caller that keeps only the
     density takes _momentum_density, which needs no kernel-sized FFT.
     """
-    F = _kernel_free_conj(Khat, grid, t, out=out)
-    return _to_x(F, grid, out=F)
+    Y = _y_frame(Khat, grid, t)
+    return _dft_half(Y, grid, np.fft.fftn, False, out=Y)
+
+
+def _dft_conj_matrix(grid: Grid) -> np.ndarray:
+    """F^* on the flattened grid, F the unitary DFT: the Kronecker power of the
+    one-axis matrix e^{2 pi i (j k mod n) / n} / sqrt(n), exactly symmetric."""
+    n = grid.n
+    j = np.arange(n)
+    one = np.exp(2j * np.pi * ((j[:, None] * j[None, :]) % n) / n) / math.sqrt(n)
+    out = one
+    for _ in range(grid.d - 1):
+        out = np.kron(out, one)
+    return out
+
+
+def _y_density(Y: np.ndarray, Fc: np.ndarray) -> np.ndarray:
+    """Flattened density rho(x) = sum_eta Y[x, eta] F[eta, x] of a frame Y = Q F^*.
+
+    Fc is _dft_conj_matrix: F is symmetric, so rho(x) = Re sum_eta Y[x, eta]
+    conj(Fc[x, eta]), one real dot per row of the interleaved (re, im) views.
+    """
+    return np.vecdot(Y.view(float), Fc.view(float))
+
+
+# rows and columns per block of _anti_hermitian_part: a pair of blocks stays in cache
+_AH_BLOCK = 64
+
+
+def _anti_hermitian_part(X: np.ndarray) -> np.ndarray:
+    """X - X^* in place, one pair of mirrored blocks at a time (no scratch kernel).
+
+    The lower block is minus the conjugate transpose of the upper one, which is
+    X - X^* bit for bit, so the result is exactly anti-Hermitian.
+    """
+    n, b = X.shape[0], _AH_BLOCK
+    for i in range(0, n, b):
+        diag = X[i:i + b, i:i + b]
+        diag -= diag.conj().T
+        for j in range(i + b, n, b):
+            upper = X[i:i + b, j:j + b]
+            upper -= X[j:j + b, i:i + b].conj().T
+            np.negative(upper.conj().T, out=X[j:j + b, i:i + b])
+    return X
+
+
+def _frame_commutator(Y: np.ndarray, E: np.ndarray, v: np.ndarray, grid: Grid,
+                      out=None) -> np.ndarray:
+    """Momentum kernel of [v, A] for a Hermitian A = Q + gamma_f and a real potential v.
+
+    Y = Q F^* and E = F^* D, D = diag(f) / h^d the momentum kernel of gamma_f,
+    so A F^* = Y + E.  Since (v A)^* = A v, the commutator is X - X^* with
+    X = F (v (Y + E)): v acts on the rows, and one row-index FFT forms X.
+    The result goes to ``out`` (which may be Y) or to a new array.
+    """
+    X = np.add(Y, E, out=out)
+    X *= v[:, None]
+    return _anti_hermitian_part(_dft_half(X, grid, np.fft.fftn, True, out=X))
+
+
+class _KernelFrames(Sequence):
+    """Frames held as Y = Q F^*, read as x-space kernels: frame k becomes Q = Y F in
+    place, by one pass over its column index, the first time it is read."""
+
+    def __init__(self, frames: list, grid: Grid):
+        self._frames, self._grid = frames, grid
+        self._pending = set(range(len(frames)))
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        K = self._frames[k]
+        k %= len(self)
+        if k in self._pending:
+            _dft_half(K, self._grid, np.fft.fftn, False, out=K)
+            self._pending.discard(k)
+        return K
 
 
 def _pairwise_sum(terms):
@@ -424,8 +534,9 @@ def _duhamel_accumulate(grid: Grid, times: np.ndarray, steps, commutator):
     D_V[A](t_k).
 
     The accumulator owns its buffers: commutator(k) returns an array that is
-    phased in place and kept through step k + 1, so it must be a new array or
-    one of two buffers used in turn.  commutator(k) runs before W_k is yielded.
+    phased in place and kept until W_{k+1} is formed, so it must be a new array
+    or one of two buffers used in turn; when W_k is yielded, the array of
+    commutator(k - 1) is free.  commutator(k) runs before W_k is yielded.
     W_k is one array updated in place, so it is overwritten at the next step;
     a caller that keeps a W_k copies it.
     """
@@ -526,7 +637,7 @@ class HartreeRun:
     """One local-in-time solve: trajectories, contraction record, ball radius."""
 
     times: np.ndarray
-    Q_frames: list
+    Q_frames: Sequence  # x-space kernels; picard_solve's are formed when first read
     rho_frames: list
     T: float
     dt: float
@@ -620,9 +731,14 @@ def picard_solve(
     stop contracting (ratio >= 0.9) and reports the achieved T.  A halved
     window off the dt grid or under 4 steps means no contraction (RuntimeError).
 
-    The solve holds one trajectory plus _PICARD_KERNELS working kernels, which
-    is what _check_memory counts: a sweep writes each new frame over the old
-    one once that frame's deltas are taken, through one spare kernel.
+    Frame k is held as Y_k = Q(t_k) F^* (see the module docstring): a sweep step
+    costs one FFT pass over the row index for the commutator and one back for the
+    new frame.  Q_frames turns each frame into its x-space kernel when it is first
+    read.  The solve holds one trajectory plus _PICARD_KERNELS working kernels,
+    which is what _check_memory counts: a sweep writes each new frame into the
+    commutator buffer the accumulator has released and swaps it with the old one
+    once that frame's deltas are taken.  Q0's momentum kernel enters as its exact
+    Hermitian part, which the commutator's X - X^* form assumes.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}")
@@ -637,23 +753,24 @@ def picard_solve(
     q0_s2 = _kernel_s2(K0, g)
     K0hat = _to_mom(K0, g)
     del K0
-    kf = gamma_f_kernel(bg)
+    K0hat += K0hat.conj().T  # its exact Hermitian part, which the commutator X - X^* needs
+    K0hat *= 0.5
     N = g.npoints
-    spare = np.empty((N, N), dtype=complex)  # the next frame, swapped with the one it replaces
-    vdiff = np.empty((N, N))  # v(x) - v(y)
-    cbufs = (np.empty((N, N), dtype=complex), np.empty((N, N), dtype=complex))
+    Fc = _dft_conj_matrix(g)
+    E = Fc * (bg.f.symbol.real.reshape(-1) / g.h**g.d)  # F^* D, D the momentum kernel of gamma_f
+    cbufs = [np.empty((N, N), dtype=complex), np.empty((N, N), dtype=complex)]
 
     def commutator(k):  # [V, Q + gamma_f] on frame k of the iterate, before the sweep replaces it
         # the accumulator keeps step k - 1's integrand in the other buffer until step k is done
-        C = np.add(Q[k], kf, out=cbufs[k % 2])
-        _commutator_kernel(_kernel_potential(bg, Q[k]), C, out=C, diff=vdiff)
-        return _to_mom(C, g, out=C)
+        v = _flat_potential(bg, rho[k].reshape(g.shape))
+        return _frame_commutator(Y[k], E, v, g, out=cbufs[k % 2])
 
     # the first iterate is the free flow U(t) Q0 U(-t)
-    Q = [_x_frame(K0hat, g, t) for t in times]
+    Y = [_y_frame(K0hat, g, t) for t in times]
+    rho = [_y_density(Yk, Fc) for Yk in Y]
     for halving in range(max_halvings + 1):
-        data_norm = _data_norm(bg, Trajectory(times, [
-            Field(g, np.real(np.diagonal(Kt).reshape(g.shape))) for Kt in Q]), scheme)
+        data_norm = _data_norm(bg, Trajectory(times, [Field(g, r.reshape(g.shape)) for r in rho]),
+                               scheme)
         R = 2.0 * (q0_s2 + data_norm)
 
         history = []
@@ -661,12 +778,15 @@ def picard_solve(
         for _ in range(80):  # sweeps per window before it counts as not contracting
             s2_deltas, rho_delta = [], []
             for k, t, W in _duhamel_accumulate(g, times, dt, commutator):
-                new = _x_frame(np.add(K0hat, W, out=spare), g, t, out=spare)
+                # once W_k is formed, step k - 1's integrand buffer is free: the new frame goes there
+                free = cbufs[(k + 1) % 2]
+                new = _y_frame(np.add(K0hat, W, out=free), g, t, out=free)
                 # commutator(k) has read the old frame: it now holds the difference
-                old = np.subtract(new, Q[k], out=Q[k])
+                old = np.subtract(new, Y[k], out=Y[k])
                 s2_deltas.append(_kernel_s2(old, g))
-                rho_delta.append(Field(g, np.real(np.diagonal(old)).reshape(g.shape)))  # Field copies
-                Q[k], spare = new, old
+                r = _y_density(new, Fc)
+                rho_delta.append(Field(g, (r - rho[k]).reshape(g.shape)))
+                Y[k], rho[k], cbufs[(k + 1) % 2] = new, r, old
             del W  # else it lives on beside the next sweep's integral
             delta = max(s2_deltas) + _data_norm(bg, Trajectory(times, rho_delta), scheme)
             history.append(delta)
@@ -678,9 +798,9 @@ def picard_solve(
             if len(history) >= 2 and history[-1] >= 0.9 * history[-2]:
                 break
         if converged:
-            rho_frames = [Field(g, np.real(np.diagonal(Kt).reshape(g.shape))) for Kt in Q]
             return HartreeRun(
-                times=times, Q_frames=Q, rho_frames=rho_frames, T=T, dt=dt,
+                times=times, Q_frames=_KernelFrames(Y, g),
+                rho_frames=[Field(g, r.reshape(g.shape)) for r in rho], T=T, dt=dt,
                 contraction_history=history, R=R, data_norm=data_norm, scheme=scheme,
                 meta={"halvings": halving, "sweeps": len(history)},
             )
@@ -690,9 +810,9 @@ def picard_solve(
         except ValueError:  # the halved window is off the dt grid or under 4 steps
             raise RuntimeError("no contraction at this resolution") from None
         # the shorter window restarts from its free flow, written over the first frames
-        del Q[len(times):]
+        del Y[len(times):], rho[len(times):]
         for k, t in enumerate(times):
-            _x_frame(K0hat, g, t, out=Q[k])
+            rho[k] = _y_density(_y_frame(K0hat, g, t, out=Y[k]), Fc)
     raise RuntimeError("no contraction at this resolution")
 
 

@@ -304,14 +304,9 @@ def multiply_potential(V: Field, A, side: str = "left") -> DenseOperator:
     raise ValueError("side must be 'left' or 'right'")
 
 
-def _commutator_kernel(v: np.ndarray, K: np.ndarray, out=None, diff=None) -> np.ndarray:
-    """Kernel (v(x) - v(y)) K(x, y) of [v, K], for v flattened like the kernel's indices.
-
-    The difference matrix goes to ``diff`` (a real N x N array) and the product
-    to ``out`` (which may be K), or each to a new array; the bits are the same.
-    """
-    diff = np.subtract(v[:, None], v[None, :], out=diff)
-    return np.multiply(diff, K, out=out)
+def _commutator_kernel(v: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Kernel (v(x) - v(y)) K(x, y) of [v, K], for v flattened like the kernel's indices."""
+    return (v[:, None] - v[None, :]) * K
 
 
 def commutator_potential(V: Field, A) -> DenseOperator:

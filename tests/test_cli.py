@@ -345,8 +345,9 @@ def test_an_allocation_that_fails_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_picard_refuses_a_solve_larger_than_memory(tmp_path):
-    # 10001 frames of 1024^2 complex entries: Picard holds 1 stack plus 7 working
-    # kernels (10008 kernels), the RK4 oracle 1 stack plus 10 working kernels (10011)
+    # 10001 frames of 1024^2 complex entries: Picard counts 1 stack plus 7 working
+    # kernels (6 and its per-frame densities; 10008 kernels), the RK4 oracle 1 stack
+    # plus 10 working kernels (10011)
     base = HARTREE_CONFIG.format(n=32, t=10.0, dt=1e-3)
     for extra, estimate in (("", "167.9 GB"), ("oracle = yes\n", "168.0 GB")):
         cfg = _write(tmp_path / "huge.config", base + extra)
@@ -483,6 +484,42 @@ def test_bad_ensemble_config_exits_one_by_name(tmp_path, capsys, kind, key, valu
     assert run(["strichartz", kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+_LOCALIZED = {("initial", "kind"): "localized"}
+_L_RULE = "L^(2d) and (L/n)^(2d) and their inverses must be finite and nonzero"
+_WIDTH_RULE = "width^2 and its inverse must be finite and nonzero"
+
+# (command, config overrides, text the error line must contain)
+_BAD_SIZES = [
+    ("hartree linearized", {("grid", "L"): "1e308"}, f"[grid] L = 1e+308: {_L_RULE}"),
+    ("hartree scatter", {("grid", "L"): "1e308"}, f"[grid] L = 1e+308: {_L_RULE}"),
+    ("hartree solve", {("grid", "L"): "1e308"}, f"[grid] L = 1e+308: {_L_RULE}"),
+    ("hartree linearized", {("grid", "L"): "inf"}, f"[grid] L = inf: {_L_RULE}"),
+    ("hartree linearized", {("grid", "L"): "1e-300"}, f"[grid] L = 1e-300: {_L_RULE}"),
+    ("calibrate-l1", {("grid", "L"): "1e308"}, f"[grid] L = 1e+308: {_L_RULE}"),
+    ("strichartz singular", {("grid", "L"): "1e308"}, f"[grid] L = 1e+308: {_L_RULE}"),
+    ("hartree linearized", {**_LOCALIZED, ("initial", "width"): "1e308"},
+     f"[initial] width = 1e+308: {_WIDTH_RULE}"),
+    ("hartree scatter", {**_LOCALIZED, ("initial", "width"): "1e308"},
+     f"[initial] width = 1e+308: {_WIDTH_RULE}"),
+    ("hartree linearized", {**_LOCALIZED, ("initial", "width"): "0"},
+     f"[initial] width = 0.0: {_WIDTH_RULE}"),
+    ("hartree linearized", {**_LOCALIZED, ("initial", "width"): "nan"},
+     f"[initial] width = nan: {_WIDTH_RULE}"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, named", _BAD_SIZES,
+    ids=[f"{c}-{','.join(f'{k}={v}' for (_, k), v in o.items())}" for c, o, _ in _BAD_SIZES])
+def test_an_out_of_range_size_exits_one_by_name(tmp_path, capsys, command, overrides, named):
+    # checked in-process: an OverflowError that escapes run() fails the test
+    base = SINGULAR_CONFIG if command.startswith("strichartz") else _SMALL_HARTREE
+    cfg = _write(tmp_path / "bad.config", _with(base, overrides))
+    assert run([*command.split(), "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config value") and named in err
 
 
 def test_malformed_config_is_a_validation_error(tmp_path):

@@ -1,3 +1,6 @@
+import os
+import resource
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from hartreelab.grid import (
     identity_multiplier,
     make_grid,
     multiplier_from_function,
+    _check_memory,
 )
 
 
@@ -154,3 +158,22 @@ def test_free_propagate_rejects_nonfinite():
     vals[0] = np.nan
     with pytest.raises(ValueError):
         free_propagate(Field(g, vals), 0.1)
+
+
+def test_memory_rule_honours_the_address_space_limit(monkeypatch):
+    # 10 kernels at N = 1024 are 168 MB; the soft RLIMIT_AS is patched, none is set
+    g = make_grid(2, 32, 8.0)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.get)  # 8.6 GB
+    limits = {"soft": resource.RLIM_INFINITY}
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (limits["soft"], resource.RLIM_INFINITY))
+    _check_memory(g, "probe", kernels=10)  # no limit set: physical memory only
+    limits["soft"] = 100 * 2**20
+    with pytest.raises(ValueError, match=r"probe would hold about 0\.2 GB \(10 dense 1024x1024 "
+                                         r"kernels\), more than the 0\.1 GB address-space limit"):
+        _check_memory(g, "probe", kernels=10)
+    _check_memory(g, "probe", kernels=5)
+    # the smaller bound is the one named
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}.get)  # 67 MB
+    with pytest.raises(ValueError, match=r"more than the 0\.1 GB of physical memory"):
+        _check_memory(g, "probe", kernels=10)

@@ -200,6 +200,58 @@ def _two_list_picard(Q0, bg, T, dt, tol, scheme):
     raise AssertionError("the reference did not contract")
 
 
+def _two_list_y_picard(Q0, bg, T, dt, tol, scheme):
+    """The in-place sweep's map on frames Y = Q F^*, keeping the old and the new
+    iterate as two lists and allocating every array, with nothing overwritten."""
+    g = bg.grid
+    times = hartree._uniform_times(T, dt)
+    K0 = to_dense(Q0).kernel
+    K0hat = _to_mom(K0, g)
+    K0hat = (K0hat + K0hat.conj().T) * 0.5
+    Fc = hartree._dft_conj_matrix(g)
+    E = Fc * (bg.f.symbol.real.reshape(-1) / g.h**g.d)
+
+    def rho(frames):
+        return [hartree._y_density(Y, Fc) for Y in frames]
+
+    def commutator(k):
+        v = hartree._flat_potential(bg, dens[k].reshape(g.shape))
+        X = _dft(v[:, None] * (Y[k] + E), g, np.fft.fftn, rows=True)
+        return X - X.conj().T
+
+    for halving in range(9):
+        Y = [hartree._y_frame(K0hat, g, t) for t in times]
+        dens = rho(Y)
+        data_norm = hartree._data_norm(
+            bg, Trajectory(times, [Field(g, r.reshape(g.shape)) for r in dens]), scheme)
+        R = 2.0 * (hartree._kernel_s2(K0, g) + data_norm)
+        history = []
+        for _ in range(80):
+            Ynew = [hartree._y_frame(K0hat + W, g, t)
+                    for _, t, W in hartree._duhamel_accumulate(g, times, dt, commutator)]
+            new = rho(Ynew)
+            delta = max(hartree._kernel_s2(a - b, g) for a, b in zip(Ynew, Y))
+            rho_delta = [Field(g, (a - b).reshape(g.shape)) for a, b in zip(new, dens)]
+            delta += hartree._data_norm(bg, Trajectory(times, rho_delta), scheme)
+            history.append(delta)
+            Y, dens = Ynew, new
+            if delta <= tol * max(1.0, R):
+                Q = [_dft(Yk, g, np.fft.fftn, rows=False) for Yk in Y]
+                rho_frames = [Field(g, r.reshape(g.shape)) for r in dens]
+                return Q, rho_frames, history, {"halvings": halving, "sweeps": len(history)}
+            if len(history) >= 2 and history[-1] >= 0.9 * history[-2]:
+                break
+        T = T / 2.0
+        times = hartree._uniform_times(T, dt)
+    raise AssertionError("the reference did not contract")
+
+
+def _dft(K, g, transform, rows):
+    """The unitary transform over the row (or column) index of a kernel, into a new array."""
+    axes = tuple(range(g.d)) if rows else tuple(range(g.d, 2 * g.d))
+    return transform(K.reshape(g.shape * 2), axes=axes, norm="ortho").reshape(K.shape)
+
+
 def _bits(arrays) -> list:
     return [np.asarray(a).tobytes() for a in arrays]
 
@@ -219,11 +271,32 @@ def test_in_place_sweep_matches_a_two_list_sweep_bit_for_bit(case):
     bg = make_background(g, "gaussian", "delta", w_scale=w)
     Q0 = _small_data(g, rank=3, seed=1, scale=scale)
     run = picard_solve(Q0, bg, T, 1e-3, scheme=scheme)
-    Q, rho, history, meta = _two_list_picard(Q0, bg, T, 1e-3, 1e-9, scheme)
+    Q, rho, history, meta = _two_list_y_picard(Q0, bg, T, 1e-3, 1e-9, scheme)
     assert run.meta == meta and meta["halvings"] == halvings
     assert _bits(run.Q_frames) == _bits(Q)
     assert _bits(f.values for f in run.rho_frames) == _bits(f.values for f in rho)
     assert _bits(run.contraction_history) == _bits(history)
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_sweep_matches_the_x_space_sweep(case):
+    # the x-space map, with (v(x) - v(y)) (Q + gamma_f)(x, y) and full basis changes,
+    # is an independent reference: same sweeps and halvings, frames and densities
+    # to rounding; the deltas are differences of nearly equal iterates
+    d, n, L, w, scale, T, scheme, halvings = _SWEEP_CASES[case]
+    g = make_grid(d, n, L)
+    bg = make_background(g, "gaussian", "delta", w_scale=w)
+    Q0 = _small_data(g, rank=3, seed=1, scale=scale)
+    run = picard_solve(Q0, bg, T, 1e-3, scheme=scheme)
+    Q, rho, history, meta = _two_list_picard(Q0, bg, T, 1e-3, 1e-9, scheme)
+    assert run.meta == meta and meta["halvings"] == halvings
+    hd = g.h**g.d
+    scale = max(hd * np.linalg.norm(K) for K in Q)
+    assert max(hd * np.linalg.norm(a - b) for a, b in zip(run.Q_frames, Q)) <= 1e-14 * scale
+    top = max(np.max(np.abs(f.values)) for f in rho)
+    assert max(np.max(np.abs(a.values - b.values)) for a, b in zip(run.rho_frames, rho)) \
+        <= 1e-14 * top
+    np.testing.assert_allclose(run.contraction_history, history, rtol=0, atol=1e-12 * history[0])
 
 
 # (w_scale, T, halvings): a solve on the full window and one that halves once
@@ -265,6 +338,20 @@ def test_lwp_pipeline_holds_one_draw_at_a_time():
             tracemalloc.stop()
         assert [rec["status"] for rec in recs] == ["ok"] * draws
     assert peaks[1] <= peaks[0] + g.npoints**2 * np.dtype(complex).itemsize
+
+
+def test_lwp_pipeline_reads_no_x_space_frame(monkeypatch):
+    # the pipeline keeps only the contraction record, so no frame is turned into
+    # its x-space kernel
+    def refuse(self, k):
+        raise AssertionError("the pipeline read an x-space frame")
+
+    monkeypatch.setattr(hartree._KernelFrames, "__getitem__", refuse)
+    g = make_grid(2, 8, 16.0)
+    bg = make_background(g, "gaussian", "delta")
+    recs = randomized_lwp_pipeline(_small_data(g, seed=2), "singular", bg, "d2", 0.5,
+                                   SubgaussianFamily("gaussian", 7), 0.01, 1e-3, n_draws=1)
+    assert recs[0]["status"] == "ok"
 
 
 def test_rk4_oracle_is_fourth_order():
@@ -705,6 +792,27 @@ def test_background_commutator_is_a_gather(d, seed, f):
     got = _background_commutator(bg, lambda k: v)(0)
     want = _to_mom(_commutator_kernel(v, gamma_f_kernel(bg)), g)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@_basis_settings
+@given(d=_dims, seed=_seeds, f=st.sampled_from(["gaussian", "fermi-sea"]))
+def test_frame_commutator_and_density_match_the_x_space_forms(d, seed, f):
+    # Picard's frame Y = F^* K^ = K F^*: for Hermitian K and real v the commutator
+    # [v, K + gamma_f] is X - X^* with X = F (v (Y + F^* D)), and the density of Y
+    # is the x-space diagonal
+    g = _BASIS_GRIDS[d]
+    bg = make_background(g, f, "gaussian")
+    K = _random_kernel(g, seed)
+    K += K.conj().T
+    v = np.random.default_rng([seed, 1]).standard_normal(g.npoints)
+    Fc = hartree._dft_conj_matrix(g)
+    E = Fc * (bg.f.symbol.real.reshape(-1) / g.h**g.d)
+    Y = _dft(_to_mom(K, g), g, np.fft.ifftn, rows=True)
+    got = hartree._frame_commutator(Y, E, v, g)
+    want = _to_mom(_commutator_kernel(v, K + gamma_f_kernel(bg)), g)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    diag = np.real(np.diagonal(K))
+    assert np.max(np.abs(hartree._y_density(Y, Fc) - diag)) <= 1e-13 * np.max(np.abs(diag))
 
 
 @_basis_settings
