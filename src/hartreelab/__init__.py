@@ -42,7 +42,6 @@ from .hartree import (
     calibrate_l1_constant,
     dense_rk4_oracle,
     duhamel_series,
-    duhamel_term,
     gamma_f_kernel,
     l1_apply_direct,
     l1_apply_fourier,
@@ -60,14 +59,11 @@ from .linop import (
     SchattenReport,
     add,
     adjoint,
-    commutator_potential,
     compose,
     conjugate_free,
     density,
-    hermitize,
     localized_low_rank,
     multiplier_sandwich_schatten,
-    multiply_potential,
     random_low_rank,
     recompress,
     scale,

@@ -155,12 +155,12 @@ def _grid_from_config(cp):
     d = _get(cp, "grid", "d", int, required=True)
     n = _get(cp, "grid", "n", int, required=True)
     L = _get(cp, "grid", "L", float, required=True)
-    grid = make_grid(d, n, L)
-    # volumes, weights and |xi|^2 are powers of L and h = L / n up to the 2d-th
-    if not (_in_range(L, 2 * d) and _in_range(grid.h, 2 * d)):
+    # volumes, weights and |xi|^2 are powers of L and h = L / n up to the 2d-th; this rule
+    # runs before make_grid, whose own check of L names no rule (a bad d or n is left to it)
+    if d in (1, 2, 3) and n > 0 and not (_in_range(L, 2 * d) and _in_range(L / n, 2 * d)):
         raise ValidationError(f"bad config value [grid] L = {L!r}: L^(2d) and (L/n)^(2d) and "
                               "their inverses must be finite and nonzero")
-    return grid
+    return make_grid(d, n, L)
 
 
 def _family_from_config(cp, section: str) -> SubgaussianFamily:

@@ -60,8 +60,8 @@ class Grid:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"points per axis must be a power of two >= 8, got {self.n}")
-        if not self.L > 0:
-            raise ValueError(f"box side must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"box side must be finite and positive, got {self.L}")
 
     @property
     def h(self) -> float:

@@ -8,7 +8,7 @@ Picard iteration.  The linearized flow is solved globally by inverting
 operator, diagonal in the spatial frequency of the density.
 
 Both halves rest on one object, the interaction-picture Duhamel integral
-D_V[A](t) = -i int_0^t U(t-tau) [V(tau), A(tau)] U(tau-t) dtau.  Every dense
+D_V[A](t) = -i int_0^t U(t-tau) [V(tau), A(tau)] U(tau-t) dtau.  Every
 evaluation of it goes through the one accumulator _duhamel_accumulate: the
 Picard map, duhamel_series, the wave operator W(t) = U(-t) Q(t) U(t) of
 scattering_diagnostic, and the direct response L1[g] = -rho(D_{w*g}[gamma_f])
@@ -99,11 +99,8 @@ from .linop import (
     _displacement_kernel,
     _freq_reflect,
     _kernel_schatten,
-    add,
-    conjugate_free,
-    recompress,
-    scale,
     schatten_norm,
+    spectrum_hermitian,
     to_dense,
 )
 from .norms import Trajectory, lebesgue_norm, mixed_norm, density_trajectory, trapezoid_weights
@@ -119,7 +116,6 @@ __all__ = [
     "gamma_f_kernel",
     "stationarity_residual",
     "duhamel_series",
-    "duhamel_term",
     "picard_solve",
     "dense_rk4_oracle",
     "spectrum_drift",
@@ -310,16 +306,6 @@ def _y_frame(Khat: np.ndarray, grid: Grid, t: float, out=None) -> np.ndarray:
     return _dft_half(P, grid, np.fft.ifftn, True, out=P)
 
 
-def _x_frame(Khat: np.ndarray, grid: Grid, t: float) -> np.ndarray:
-    """x-space kernel of U(t) Khat U(-t) for a momentum kernel Khat, in a new array.
-
-    It is for a caller that keeps the whole kernel; a caller that keeps only the
-    density takes _momentum_density, which needs no kernel-sized FFT.
-    """
-    Y = _y_frame(Khat, grid, t)
-    return _dft_half(Y, grid, np.fft.fftn, False, out=Y)
-
-
 def _dft_conj_matrix(grid: Grid) -> np.ndarray:
     """F^* on the flattened grid, F the unitary DFT: the Kronecker power of the
     one-axis matrix e^{2 pi i (j k mod n) / n} / sqrt(n), exactly symmetric."""
@@ -453,8 +439,8 @@ def _kernel_s2(K: np.ndarray, grid: Grid) -> float:
 
     Fast, but its last bit depends on the summation order of the BLAS dot
     kernel, which OpenBLAS picks per CPU. Used where the value steers the
-    solver (convergence deltas, ball radius, scattering floor); the deltas
-    written to contraction.csv are therefore byte-stable on one host only.
+    solver (convergence deltas, ball radius); the deltas written to
+    contraction.csv are therefore byte-stable on one host only.
     """
     return float(grid.h**grid.d * np.linalg.norm(K))
 
@@ -561,48 +547,19 @@ def _times_index(times: np.ndarray, t: float) -> int:
     return k
 
 
-def _frame_at(A, k: int):
-    if isinstance(A, (list, tuple)):
-        return A[k]
-    return A
-
-
 def duhamel_series(V: Trajectory, A) -> list:
     """D_V[A](t_k) = -i int_0^{t_k} U(t-tau) [V(tau), A(tau)] U(tau-t) dtau.
 
     V is a trajectory of real potential fields.  A may be a single operator,
     a list of operators aligned with V.times, or a BackgroundState (meaning
-    the fixed gamma_f).  Low-rank inputs stay low-rank (the commutator
-    doubles the rank per node and the running integral is recompressed to
-    1e-12 of its Hilbert-Schmidt norm, with no rank cap);
-    everything else goes through dense kernels, after _check_memory.
+    the fixed gamma_f); a low-rank operator is made dense.  The result is one
+    DenseOperator per time, after _check_memory.
     """
     times = V.times
     grid = V.frames[0].grid
-
-    lowrank = isinstance(_frame_at(A, 0), LowRankOperator) and not isinstance(A, BackgroundState)
-    if lowrank:
-        out = []
-        W = LowRankOperator(grid, np.zeros(0), np.zeros((0,) + grid.shape),
-                            np.zeros((0,) + grid.shape))
-        for k, t in enumerate(times):
-            Q = _frame_at(A, k)
-            v = np.real(V.frames[k].values)
-            # [V, Q] = sum c |V u><v| - sum c |u><V v|  (rank doubles)
-            C = LowRankOperator(
-                grid,
-                np.concatenate([Q.coeffs, -Q.coeffs]),
-                np.concatenate([v[None] * Q.left, Q.left]),
-                np.concatenate([Q.right, v[None] * Q.right]),
-            )
-            Fk = scale(conjugate_free(C, -t), -1j)
-            if k:
-                dt = times[k] - times[k - 1]
-                W = recompress(add(W, add(scale(Fprev, dt / 2), scale(Fk, dt / 2))), tol=1e-12)
-            out.append(conjugate_free(W, t))
-            Fprev = Fk
-        return out
-
+    frames = A if isinstance(A, (list, tuple)) else [A] * len(times)
+    if len(frames) != len(times):
+        raise ValueError(f"A has {len(frames)} operators but V has {len(times)} times")
     _check_memory(grid, "duhamel_series", kernels=len(times) + _ACCUMULATOR_KERNELS)
 
     def potential(k):
@@ -612,20 +569,14 @@ def duhamel_series(V: Trajectory, A) -> list:
         commutator = _background_commutator(A, potential)
     else:
         def commutator(k):
-            C = _commutator_kernel(potential(k), to_dense(_frame_at(A, k)).kernel)
+            C = _commutator_kernel(potential(k), to_dense(frames[k]).kernel)
             return _to_mom(C, grid, out=C)
 
-    return [DenseOperator(grid, _x_frame(W, grid, t) if k else np.zeros_like(W))
-            for k, t, W in _duhamel_accumulate(grid, times, np.diff(times), commutator)]
-
-
-def duhamel_term(V: Trajectory, A, t: float):
-    """The Duhamel integral at one time t of the trajectory grid."""
-    k = _times_index(V.times, t)
-    # Only the prefix [0, t] matters; truncate to keep the cost linear in k.
-    Vcut = Trajectory(V.times[: k + 1], V.frames[: k + 1])
-    Acut = A[: k + 1] if isinstance(A, (list, tuple)) else A
-    return duhamel_series(Vcut, Acut)[k]
+    out = []
+    for k, t, W in _duhamel_accumulate(grid, times, np.diff(times), commutator):
+        P = _kernel_free_conj(W, grid, t) if k else np.zeros_like(W)  # U(t) W U(-t), a new array
+        out.append(DenseOperator(grid, _to_x(P, grid, out=P) if k else P))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +613,6 @@ class HartreeRun:
         return np.array([_kernel_s2_exact(K, g) for K in self.Q_frames])
 
     def hermitian_drift(self) -> float:
-        g = self.grid
         worst = 0.0
         for K in self.Q_frames:
             nrm = np.linalg.norm(K)
@@ -826,8 +776,9 @@ def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun
     kin = FourierMultiplier(g, g.xi_squared())  # -Laplacian; even, so its own reflection
 
     def rhs(K):
-        lap = (_apply_multiplier_stack(kin, K.reshape(g.shape + (-1,)), g, leading=True)
-               - _apply_multiplier_stack(kin, K.reshape((-1,) + g.shape), g)).reshape(K.shape)
+        rows = _apply_multiplier_stack(kin, K.reshape(g.shape + (-1,)), g, leading=True)
+        cols = _apply_multiplier_stack(kin, K.reshape((-1,) + g.shape), g)
+        lap = rows.reshape(K.shape) - cols.reshape(K.shape)  # shapes differ at d >= 2
         return -1j * (lap + _commutator_kernel(_kernel_potential(bg, K), K + kf))
 
     K = to_dense(Q0).kernel  # a new array, rebound (never written) by each step
@@ -853,18 +804,9 @@ def spectrum_drift(run: HartreeRun, bg: BackgroundState) -> float:
     """Max eigenvalue drift of Q(t) + gamma_f-truncation along the run."""
     g = run.grid
     kf = gamma_f_kernel(bg)
-    hd = g.h**g.d
-    ev0 = None
-    worst = 0.0
-    for K in run.Q_frames:
-        M = hd * (K + kf)
-        M = (M + np.conj(M).T) / 2
-        ev = np.linalg.eigvalsh(M)
-        if ev0 is None:
-            ev0 = ev
-        else:
-            worst = max(worst, float(np.max(np.abs(ev - ev0))))
-    return worst
+    spectra = (spectrum_hermitian(DenseOperator(g, K + kf)) for K in run.Q_frames)
+    ev0 = next(spectra)
+    return max((float(np.max(np.abs(ev - ev0))) for ev in spectra), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,6 @@ __all__ = [
     "schatten_norm",
     "sobolev_schatten_norm",
     "conjugate_free",
-    "multiply_potential",
-    "commutator_potential",
     "multiplier_sandwich_schatten",
     "spectrum_hermitian",
     "add",
@@ -51,7 +49,6 @@ __all__ = [
     "adjoint",
     "compose",
     "recompress",
-    "hermitize",
     "random_low_rank",
     "localized_low_rank",
 ]
@@ -293,26 +290,9 @@ def _free_frames(A: LowRankOperator, times):
         yield left, right
 
 
-def multiply_potential(V: Field, A, side: str = "left") -> DenseOperator:
-    """V . A (side='left') or A . V (side='right') as a dense operator."""
-    Ad = to_dense(A)
-    v = V.values.reshape(-1)
-    if side == "left":
-        return DenseOperator(A.grid, v[:, None] * Ad.kernel)
-    if side == "right":
-        return DenseOperator(A.grid, Ad.kernel * v[None, :])
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def _commutator_kernel(v: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Kernel (v(x) - v(y)) K(x, y) of [v, K], for v flattened like the kernel's indices."""
     return (v[:, None] - v[None, :]) * K
-
-
-def commutator_potential(V: Field, A) -> DenseOperator:
-    """[V, A] with V a (real) potential, dense kernel (V(x)-V(y)) A(x,y)."""
-    _check_same_grid(V.grid, A.grid)
-    return DenseOperator(A.grid, _commutator_kernel(V.values.reshape(-1), to_dense(A).kernel))
 
 
 def _difference_index(grid: Grid) -> np.ndarray:
@@ -336,10 +316,6 @@ def _difference_index(grid: Grid) -> np.ndarray:
 def _displacement_kernel(m: FourierMultiplier) -> np.ndarray:
     """N x N matrix k_m(x - y) from the multiplier's real-space kernel."""
     return m.real_space_kernel().reshape(-1)[_difference_index(m.grid)]
-
-
-def multiplier_to_dense(m: FourierMultiplier) -> DenseOperator:
-    return DenseOperator(m.grid, _displacement_kernel(m))
 
 
 def multiplier_sandwich_schatten(f: Field, g_symbol: FourierMultiplier, alpha: float) -> float:
@@ -431,11 +407,6 @@ def recompress(A: LowRankOperator, tol: float) -> LowRankOperator:
     return LowRankOperator(g, s[:keep].astype(complex), newleft, newright)
 
 
-def hermitize(A):
-    """(A + A^*)/2 — used only where self-adjointness is assumed by contract."""
-    return scale(add(A, adjoint(A)), 0.5)
-
-
 def hermitian_defect(A) -> float:
     """||A - A^*||_{S^2} / ||A||_{S^2} (0 for the zero operator)."""
     nrm = schatten_norm(A, 2).value
@@ -513,6 +484,8 @@ def localized_low_rank(
     random_low_rank).  Factor families are orthonormalized in the weighted
     inner product.
     """
+    if not 0 < width < np.inf:
+        raise ValueError(f"width must be finite and positive, got {width}")
     xm = grid.x_mesh()
     env = np.exp(-sum(x**2 for x in xm) / (2 * width**2))
     monomials = [np.ones(grid.shape)]

@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartreelab.cli import (
+    _CONFIG_KEYS,
     _grid_from_config,
     _initial_operator,
     _load_config,
@@ -528,3 +532,48 @@ def test_malformed_config_is_a_validation_error(tmp_path):
     assert res.returncode == 1
     assert "Traceback" not in res.stdout + res.stderr
     assert res.stderr.startswith("error: malformed config")
+
+
+_HARTREE_SECTIONS = ("grid", "background", "initial", "run")
+_ENSEMBLE_SECTIONS = ("grid", "experiment", "randomization")
+# (argv, base config, sections the command reads): tiny configs, every count small
+_PROPERTY_BASES = [
+    (["hartree", "solve"], _SMALL_HARTREE, _HARTREE_SECTIONS),
+    (["hartree", "solve"], _with(_SMALL_HARTREE, {("run", "oracle"): "yes"}), _HARTREE_SECTIONS),
+    (["hartree", "linearized"], _SMALL_HARTREE, _HARTREE_SECTIONS),
+    (["hartree", "scatter"], _with(_SMALL_HARTREE, {("run", "t"): "0.16"}), _HARTREE_SECTIONS),
+    (["calibrate-l1"], _SMALL_HARTREE, ("grid", "background", "run")),
+    (["strichartz", "singular"], SINGULAR_CONFIG, _ENSEMBLE_SECTIONS),
+    (["strichartz", "full"], _ENSEMBLE_CONFIGS["full"],
+     ("grid", "experiment", "randomization_g", "randomization_ell")),
+    (["strichartz", "function"], _ENSEMBLE_CONFIGS["function"], _ENSEMBLE_SECTIONS),
+]
+_PROPERTY_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "abc", "", "2.5", "1e-300", "3"]
+# 2 MB of physical memory, about what the largest base (the oracle's 21 kernels of
+# 64 x 64) needs, so a mutation that grows a dense problem is refused, not allocated
+_PROPERTY_MEMORY = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
+
+
+def _run_in_memory(argv, text):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sysconf", _PROPERTY_MEMORY.get)
+        cfg = _write(Path(tmp) / "c.config", text)
+        return run([*argv, "--config", cfg, "--out", str(Path(tmp) / "o")])
+
+
+@pytest.mark.parametrize("argv, base, sections", _PROPERTY_BASES,
+                         ids=[" ".join(a) + (" oracle" if "oracle" in b else "")
+                              for a, b, _ in _PROPERTY_BASES])
+def test_each_property_base_config_runs(argv, base, sections):
+    assert _run_in_memory(argv, base) == 0
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_PROPERTY_BASES), data=st.data())
+def test_a_single_bad_config_value_exits_zero_one_or_two(case, data):
+    # in-process: an exception that escapes run() fails the test
+    argv, base, sections = case
+    section = data.draw(st.sampled_from(sections))
+    key = data.draw(st.sampled_from(_CONFIG_KEYS[section]))
+    value = data.draw(st.sampled_from(_PROPERTY_VALUES))
+    assert _run_in_memory(argv, _with(base, {(section, key): value})) in (0, 1, 2)

@@ -35,6 +35,8 @@ def test_grid_validation():
         make_grid(1, 4, 10.0)  # too small
     with pytest.raises(ValueError):
         make_grid(1, 32, -1.0)
+    with pytest.raises(ValueError, match="box side must be finite and positive, got inf"):
+        make_grid(1, 8, np.inf)
 
 
 def test_axes_and_weights():

@@ -21,7 +21,6 @@ from hartreelab.hartree import (
     calibrate_l1_constant,
     dense_rk4_oracle,
     duhamel_series,
-    duhamel_term,
     gamma_f_kernel,
     l1_apply_direct,
     l1_apply_fourier,
@@ -96,8 +95,17 @@ def test_duhamel_zero_potential_and_zero_time():
     out = duhamel_series(V, Q)
     for term in out:
         assert schatten_norm(term, 2).value < 1e-14
-    D0 = duhamel_term(V, Q, 0.0)
-    assert schatten_norm(D0, 2).value == 0.0
+    assert schatten_norm(out[0], 2).value == 0.0
+
+
+def test_duhamel_series_refuses_a_list_of_the_wrong_length():
+    g = make_grid(1, 8, 4.0)
+    times = np.linspace(0.0, 0.2, 5)
+    V = Trajectory(times, [Field(g, np.zeros(g.shape)) for _ in times])
+    Q = _small_data(g)
+    for frames in ([Q] * 4, [Q] * 6):
+        with pytest.raises(ValueError, match=f"A has {len(frames)} operators but V has 5 times"):
+            duhamel_series(V, frames)
 
 
 def test_duhamel_small_time_quadratic_commutator_scaling():
@@ -130,6 +138,19 @@ def test_picard_matches_rk4_oracle():
     # contraction history must actually contract
     deltas = run.contraction_history
     assert deltas[-1] <= 1e-9 * max(1.0, run.R)
+
+
+def test_rk4_oracle_matches_picard_at_d2():
+    # at d >= 2 the Laplacian's row and column passes return differently shaped views
+    g = make_grid(2, 8, 8.0)
+    bg = make_background(g, "gaussian", "delta", f_scale=0.5)
+    Q0 = _small_data(g, rank=3, seed=1, scale=0.1)
+    run = picard_solve(Q0, bg, 0.05, 1e-3, scheme="d2")
+    oracle = dense_rk4_oracle(Q0, bg, 0.05, 1e-3)
+    scale = max(np.max(np.abs(K)) for K in oracle.Q_frames)
+    err = max(np.max(np.abs(Kp - Ko)) for Kp, Ko in zip(run.Q_frames, oracle.Q_frames))
+    assert err < 1e-6 * scale
+    assert spectrum_drift(oracle, bg) < 1e-10
 
 
 def test_picard_free_evolution_when_interaction_vanishes():
@@ -178,12 +199,12 @@ def _two_list_picard(Q0, bg, T, dt, tol, scheme):
         return _to_mom(C, g, out=C)
 
     for halving in range(9):
-        Q = [hartree._x_frame(K0hat, g, t) for t in times]
+        Q = [_to_x(_kernel_free_conj(K0hat, g, t), g) for t in times]
         data_norm = hartree._data_norm(bg, Trajectory(times, rho(Q)), scheme)
         R = 2.0 * (hartree._kernel_s2(K0, g) + data_norm)
         history = []
         for _ in range(80):
-            Qnew = [hartree._x_frame(K0hat + W, g, t)
+            Qnew = [_to_x(_kernel_free_conj(K0hat + W, g, t), g)
                     for _, t, W in hartree._duhamel_accumulate(g, times, dt, commutator)]
             delta = max(hartree._kernel_s2(a - b, g) for a, b in zip(Qnew, Q))
             rho_delta = [Field(g, np.real(np.diagonal(a) - np.diagonal(b)).reshape(g.shape))
@@ -825,43 +846,6 @@ def test_schatten_norm_is_basis_independent(d, seed, alpha):
     assert mom_side == pytest.approx(x_side, rel=1e-12)
 
 
-@_basis_settings
-@given(d=_dims, seed=_seeds, omega=st.floats(0.0, 5.0))
-def test_duhamel_lowrank_matches_dense_path(d, seed, omega):
-    g = _BASIS_GRIDS[d]
-    Q = _small_data(g, seed=seed)
-    # a few random plane-wave modes, modulated in time
-    rng = np.random.default_rng(seed)
-    k = rng.integers(-2, 3, size=(3, d)) * (2 * np.pi / g.L)
-    amp, phase = rng.standard_normal(3), rng.uniform(0.0, 2 * np.pi, 3)
-    xm = g.x_mesh()
-    v = sum(amp[j] * np.cos(sum(k[j, a] * xm[a] for a in range(d)) + phase[j]) for j in range(3))
-    times = np.linspace(0.0, 0.1, 9)
-    V = Trajectory(times, [Field(g, np.cos(omega * t) * v) for t in times])
-    low = duhamel_series(V, Q)
-    dense = duhamel_series(V, to_dense(Q))
-    for a, b in zip(low, dense):
-        diff = to_dense(a).kernel - b.kernel
-        assert np.max(np.abs(diff)) < 1e-10
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_duhamel_lowrank_is_not_truncated(d):
-    # rank-3 data under a potential of unit size: the running integral needs
-    # more than 8 x 3 ranks at d=3, and every one of them is kept
-    g = _BASIS_GRIDS[d]
-    Q = _small_data(g, seed=1, scale=1.0)
-    xm = g.x_mesh()
-    v = sum(np.cos(2 * np.pi * (a + 1) * xm[a] / g.L) for a in range(d))
-    times = np.linspace(0.0, 0.2, 9)
-    V = Trajectory(times, [Field(g, np.cos(3.0 * t) * v) for t in times])
-    low = duhamel_series(V, Q)
-    dense = duhamel_series(V, to_dense(Q))
-    scale = max(np.max(np.abs(b.kernel)) for b in dense)
-    worst = max(np.max(np.abs(to_dense(a).kernel - b.kernel)) for a, b in zip(low, dense))
-    assert worst <= 1e-11 * scale
-
-
 # Row blocks of the Gram form are 128 rows, so N = 256 takes two of them.
 _GRAM_GRIDS = {1: make_grid(1, 256, 64.0), 2: make_grid(2, 16, 8.0)}
 
@@ -921,7 +905,7 @@ def test_scattering_holds_no_previous_rung():
 def test_momentum_density_is_the_diagonal_of_the_x_frame(d, seed, t):
     g = _BASIS_GRIDS[d]
     W = _random_kernel(g, seed)
-    want = np.diagonal(hartree._x_frame(W, g, t)).reshape(g.shape)
+    want = np.diagonal(_to_x(_kernel_free_conj(W, g, t), g)).reshape(g.shape)
     got = hartree._momentum_density(W, g, t)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

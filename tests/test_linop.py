@@ -8,18 +8,15 @@ from hartreelab.linop import (
     DenseOperator,
     LowRankOperator,
     _difference_index,
+    _displacement_kernel,
     add,
     adjoint,
-    commutator_potential,
     compose,
     conjugate_free,
     density,
     hermitian_defect,
-    hermitize,
     localized_low_rank,
     multiplier_sandwich_schatten,
-    multiplier_to_dense,
-    multiply_potential,
     random_low_rank,
     recompress,
     scale,
@@ -89,7 +86,7 @@ def test_adjoint_and_hermitize():
     g = make_grid(1, 32, 12.0)
     rng = np.random.default_rng(5)
     A = random_low_rank(g, 4, rng)
-    assert hermitian_defect(hermitize(A)) < 1e-12
+    assert hermitian_defect(add(A, adjoint(A))) < 1e-12
     H = random_low_rank(g, 4, rng, hermitian=True)
     assert hermitian_defect(H) < 1e-12
     # <Au, v> = <u, A* v>
@@ -141,16 +138,6 @@ def test_recompressed_factors_are_orthonormal():
     assert np.all(B.coeffs.real >= 0) and np.max(np.abs(B.coeffs.imag)) < 1e-14
 
 
-def test_potential_commutator_kernel():
-    g = make_grid(1, 32, 12.0)
-    rng = np.random.default_rng(9)
-    A = random_low_rank(g, 3, rng)
-    V = Field(g, np.cos(2 * np.pi * g.x_axis / g.L))
-    C = commutator_potential(V, A)
-    direct = add(multiply_potential(V, A, "left"), scale(multiply_potential(V, A, "right"), -1))
-    assert np.max(np.abs(C.kernel - direct.kernel)) < 1e-12
-
-
 def test_multiplier_sandwich_exact_at_alpha_2():
     # || f(x) g(-i grad) ||_{S^2}^2 = (2 pi)^{-d} ||f||_{L^2}^2 ||g||^2 with
     # the frequency sum carrying the lattice weight (2 pi / L)^d
@@ -198,8 +185,15 @@ def test_multiplier_to_dense_matches_action():
     from hartreelab.grid import apply_multiplier
 
     v1 = apply_multiplier(m, u)
-    v2 = multiplier_to_dense(m).apply(u)
+    v2 = DenseOperator(g, _displacement_kernel(m)).apply(u)
     assert np.max(np.abs(v1.values - v2.values)) < 1e-11
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_localized_low_rank_refuses_a_bad_width(width):
+    g = make_grid(1, 16, 8.0)
+    with pytest.raises(ValueError, match=f"width must be finite and positive, got {width}"):
+        localized_low_rank(g, 2, np.random.default_rng(0), width=width)
 
 
 def test_localized_low_rank_properties():
