@@ -11,7 +11,8 @@ multiplier application is phase-free (the boundary-offset phases cancel), so
 it reduces to plain FFTs: _apply_multiplier_stack is the package's one
 F^{-1} m F pass, over the grid axes of a field, a factor stack or either
 index of a dense kernel.  _check_memory is the one size rule for the paths
-that hold dense kernels or (frames, N) stacks.
+that hold dense kernels or (frames, N) stacks, and _workers the one rule for
+how many threads a path may run.
 """
 
 from __future__ import annotations
@@ -245,6 +246,18 @@ def convolve_potential(w_hat: FourierMultiplier, rho: Field) -> Field:
     _check_same_grid(w_hat.grid, rho.grid)
     out = apply_multiplier(w_hat, rho)
     return out
+
+
+def _workers(parts: int) -> int:
+    """Threads for parts independent pieces of work: one per usable core, at most parts.
+
+    The one core rule: the ensembles and the Picard sweep size their threads by it.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, parts))
 
 
 def _check_memory(grid: Grid, what: str, kernels: int = 0, stacks: float = 0, frames: int = 0):

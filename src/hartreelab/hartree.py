@@ -55,14 +55,22 @@ changes write into a kernel the caller owns (out=, which may be the input):
 a fresh commutator kernel becomes its own momentum kernel, and the direct L1,
 which keeps only densities, reads each from the running integral with no
 scratch kernel.  The bits are those of the allocating forms.  The Picard sweep
-owns its buffers the same way: it holds one trajectory of Y frames, builds each
-commutator in one of two buffers that alternate, writes the new frame k into the
-buffer the accumulator has just released and swaps it with the old frame once
-the old one has been read, and writes a halved window's free flow over the same
-frames.  The scattering ladder keeps no rung: each distance ||W(t_{i+1}) - W(t_i)||
-is the integral over [t_i, t_{i+1}] alone, one accumulator pass from zero at
-absolute times, and each S^4 distance is taken in the Gram form
-||A||_4^4 = ||A^* A||_F^2 (linop._kernel_schatten), not by an SVD.
+owns its buffers the same way: it holds one trajectory of Y frames and a ring of
+three commutator buffers, and holds no F^* D: each commutator forms it in its own
+buffer and adds Y_k.  Commutator k goes to buffer k % 3; the new frame k goes to
+buffer (k - 1) % 3, which the accumulator has just released, and is swapped with
+the old frame once the old one has been read; a halved window's free flow is
+written over the same frames.  The third buffer lets a helper stage form
+commutator k + 1 while the sweep takes frame k (phase, trapezoid step, new frame,
+its deltas and density): the commutators read only the old iterate.  With two
+usable cores and a large enough grid the stage is one helper thread per solve,
+which also takes half of each window's free-flow frames; otherwise it runs
+inline.  Either way each frame runs the same operations in the same order, so
+the bits do not depend on the thread count.  The scattering ladder keeps no
+rung: each distance ||W(t_{i+1}) - W(t_i)|| is the integral over [t_i, t_{i+1}]
+alone, one accumulator pass from zero at absolute times, and each S^4 distance
+is taken in the Gram form ||A||_4^4 = ||A^* A||_F^2 (linop._kernel_schatten),
+not by an SVD.
 
 Each dense path (the nonlinear solver, the oracle, the direct L1, scattering)
 first counts the N x N kernels it will hold, and the linear-response march the
@@ -74,6 +82,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import queue
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -86,6 +96,7 @@ from .grid import (
     _apply_multiplier_stack,
     _check_memory,
     _check_same_grid,
+    _workers,
     bessel_multiplier,
     convolve_potential,
     free_propagator,
@@ -237,11 +248,11 @@ def stationarity_residual(bg: BackgroundState, n_probes: int = 6, seed: int = 0)
 _ACCUMULATOR_KERNELS = 7
 
 
-# N x N kernels picard_solve holds besides its one trajectory: K0hat, F^*, F^* D, two
+# N x N kernels picard_solve holds besides its one trajectory: K0hat, F^*, three
 # commutator buffers (one takes each new frame) and the running integral, 6 in all,
-# plus a few N-vectors per frame (densities, their deltas).  tracemalloc peak:
-# frames + 6.59 at d=2, N = 256 (51 frames; 6.37 on a window halved from 17),
-# frames + 6.13 at d=3, N = 512 (21 frames)
+# plus a few N-vectors per frame (densities, their deltas).  tracemalloc peak with
+# the helper thread: frames + 6.64 at d=2, N = 256 (51 frames; 6.37 on a window
+# halved from 17), frames + 6.16 at d=3, N = 512 (21 frames)
 _PICARD_KERNELS = 7
 
 
@@ -348,16 +359,19 @@ def _anti_hermitian_part(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _frame_commutator(Y: np.ndarray, E: np.ndarray, v: np.ndarray, grid: Grid,
-                      out=None) -> np.ndarray:
+def _frame_commutator(Y: np.ndarray, Fc: np.ndarray, fD: np.ndarray, v: np.ndarray,
+                      grid: Grid, out=None) -> np.ndarray:
     """Momentum kernel of [v, A] for a Hermitian A = Q + gamma_f and a real potential v.
 
-    Y = Q F^* and E = F^* D, D = diag(f) / h^d the momentum kernel of gamma_f,
-    so A F^* = Y + E.  Since (v A)^* = A v, the commutator is X - X^* with
-    X = F (v (Y + E)): v acts on the rows, and one row-index FFT forms X.
-    The result goes to ``out`` (which may be Y) or to a new array.
+    Y = Q F^*, Fc = F^* (_dft_conj_matrix) and D = diag(fD), fD = f / h^d, the
+    momentum kernel of gamma_f, so A F^* = Y + F^* D.  Since (v A)^* = A v, the
+    commutator is X - X^* with X = F (v (Y + F^* D)): v acts on the rows, and one
+    row-index FFT forms X.  F^* D is formed in the result, which goes to ``out``
+    (not Y) or to a new array, and Y is added to it: IEEE addition commutes, so
+    the bits are those of Y + F^* D.
     """
-    X = np.add(Y, E, out=out)
+    X = np.multiply(Fc, fD, out=out)
+    X += Y
     X *= v[:, None]
     return _anti_hermitian_part(_dft_half(X, grid, np.fft.fftn, True, out=X))
 
@@ -521,7 +535,7 @@ def _duhamel_accumulate(grid: Grid, times: np.ndarray, steps, commutator):
 
     The accumulator owns its buffers: commutator(k) returns an array that is
     phased in place and kept until W_{k+1} is formed, so it must be a new array
-    or one of two buffers used in turn; when W_k is yielded, the array of
+    or one of two or more buffers used in turn; when W_k is yielded, the array of
     commutator(k - 1) is free.  commutator(k) runs before W_k is yielded.
     W_k is one array updated in place, so it is overwritten at the next step;
     a caller that keeps a W_k copies it.
@@ -665,6 +679,48 @@ def _uniform_times(T: float, dt: float, check=None) -> np.ndarray:
     return dt * np.arange(K + 1)
 
 
+class _Helper:
+    """One helper thread that runs the calls it is given in order; the caller takes
+    their results in the same order.
+
+    A call's exception is raised again, itself, where its result is taken.  close()
+    lets the running call finish, ends the thread and joins it, so nothing the
+    calls reached outlives the caller.
+    """
+
+    def __init__(self):
+        self._calls, self._results = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._run, name="picard-helper", daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        while (call := self._calls.get()) is not None:
+            try:
+                self._results.put((call(), None))
+            except BaseException as e:  # handed to the caller, which raises it
+                self._results.put((None, e))
+
+    def submit(self, call):
+        self._calls.put(call)
+
+    def result(self):
+        value, error = self._results.get()
+        if error is not None:
+            raise error
+        return value
+
+    def close(self):
+        self._calls.put(None)
+        self._thread.join()
+
+
+# Picard solves on fewer grid points run inline: below this, handing each commutator
+# to a helper thread costs more than the overlap saves.  d=1 solves of 101 frames on
+# 2 cores, inline -> threaded: N = 32 0.06 -> 0.14-0.18 s, N = 64 0.10 -> 0.19 s,
+# N = 128 0.30-0.34 -> 0.28-0.33 s (even), N = 256 1.32 -> 0.92 s.
+_PICARD_THREAD_POINTS = 256
+
+
 def picard_solve(
     Q0,
     bg: BackgroundState,
@@ -685,10 +741,17 @@ def picard_solve(
     costs one FFT pass over the row index for the commutator and one back for the
     new frame.  Q_frames turns each frame into its x-space kernel when it is first
     read.  The solve holds one trajectory plus _PICARD_KERNELS working kernels,
-    which is what _check_memory counts: a sweep writes each new frame into the
-    commutator buffer the accumulator has released and swaps it with the old one
-    once that frame's deltas are taken.  Q0's momentum kernel enters as its exact
-    Hermitian part, which the commutator's X - X^* form assumes.
+    which is what _check_memory counts: commutators rotate through three buffers,
+    and a sweep writes each new frame into the one the accumulator has released
+    and swaps it with the old frame once that frame's deltas are taken.  Q0's
+    momentum kernel enters as its exact Hermitian part, which the commutator's
+    X - X^* form assumes.
+
+    With two usable cores (grid._workers) and at least _PICARD_THREAD_POINTS grid
+    points, one helper thread forms commutator k + 1 while the sweep takes frame k,
+    and takes half of each window's free-flow frames.  Every frame runs the same
+    operations in the same order on either thread, so the run is the same bits
+    inline or threaded; meta["workers"] says which.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}")
@@ -707,63 +770,96 @@ def picard_solve(
     K0hat *= 0.5
     N = g.npoints
     Fc = _dft_conj_matrix(g)
-    E = Fc * (bg.f.symbol.real.reshape(-1) / g.h**g.d)  # F^* D, D the momentum kernel of gamma_f
-    cbufs = [np.empty((N, N), dtype=complex), np.empty((N, N), dtype=complex)]
+    fD = bg.f.symbol.real.reshape(-1) / g.h**g.d  # D = diag(fD), the momentum kernel of gamma_f
+    cbufs = [np.empty((N, N), dtype=complex) for _ in range(3)]
+    workers = _workers(2) if N >= _PICARD_THREAD_POINTS else 1
+    helper = _Helper() if workers > 1 else None
 
-    def commutator(k):  # [V, Q + gamma_f] on frame k of the iterate, before the sweep replaces it
-        # the accumulator keeps step k - 1's integrand in the other buffer until step k is done
-        v = _flat_potential(bg, rho[k].reshape(g.shape))
-        return _frame_commutator(Y[k], E, v, g, out=cbufs[k % 2])
+    def commutator_call(k):  # forms commutator k from frame k of the iterate, not yet replaced
+        Yk, rk, out = Y[k], rho[k], cbufs[k % 3]
+        return lambda: _frame_commutator(Yk, Fc, fD, _flat_potential(bg, rk.reshape(g.shape)),
+                                         g, out=out)
 
-    # the first iterate is the free flow U(t) Q0 U(-t)
-    Y = [_y_frame(K0hat, g, t) for t in times]
-    rho = [_y_density(Yk, Fc) for Yk in Y]
-    for halving in range(max_halvings + 1):
-        data_norm = _data_norm(bg, Trajectory(times, [Field(g, r.reshape(g.shape)) for r in rho]),
-                               scheme)
-        R = 2.0 * (q0_s2 + data_norm)
+    def commutator(k):  # [V, Q + gamma_f] on frame k, in ring buffer k % 3
+        # When step k starts, buffer (k + 1) % 3 holds frame k - 1's difference, already
+        # read, and step k - 1's integrand stays in buffer (k - 1) % 3 until W_k is formed.
+        if helper is None:
+            return commutator_call(k)()
+        C = commutator_call(0)() if k == 0 else helper.result()
+        if k + 1 < len(times):
+            helper.submit(commutator_call(k + 1))  # formed while the sweep takes frame k
+        return C
 
-        history = []
-        converged = False
-        for _ in range(80):  # sweeps per window before it counts as not contracting
-            s2_deltas, rho_delta = [], []
-            for k, t, W in _duhamel_accumulate(g, times, dt, commutator):
-                # once W_k is formed, step k - 1's integrand buffer is free: the new frame goes there
-                free = cbufs[(k + 1) % 2]
-                new = _y_frame(np.add(K0hat, W, out=free), g, t, out=free)
-                # commutator(k) has read the old frame: it now holds the difference
-                old = np.subtract(new, Y[k], out=Y[k])
-                s2_deltas.append(_kernel_s2(old, g))
-                r = _y_density(new, Fc)
-                rho_delta.append(Field(g, (r - rho[k]).reshape(g.shape)))
-                Y[k], rho[k], cbufs[(k + 1) % 2] = new, r, old
-            del W  # else it lives on beside the next sweep's integral
-            delta = max(s2_deltas) + _data_norm(bg, Trajectory(times, rho_delta), scheme)
-            history.append(delta)
-            if not np.isfinite(delta):
-                break
-            if delta <= tol * max(1.0, R):
-                converged = True
-                break
-            if len(history) >= 2 and history[-1] >= 0.9 * history[-2]:
-                break
-        if converged:
-            return HartreeRun(
-                times=times, Q_frames=_KernelFrames(Y, g),
-                rho_frames=[Field(g, r.reshape(g.shape)) for r in rho], T=T, dt=dt,
-                contraction_history=history, R=R, data_norm=data_norm, scheme=scheme,
-                meta={"halvings": halving, "sweeps": len(history)},
-            )
-        T = T / 2.0
-        try:
-            times = _uniform_times(T, dt)
-        except ValueError:  # the halved window is off the dt grid or under 4 steps
-            raise RuntimeError("no contraction at this resolution") from None
-        # the shorter window restarts from its free flow, written over the first frames
-        del Y[len(times):], rho[len(times):]
-        for k, t in enumerate(times):
-            rho[k] = _y_density(_y_frame(K0hat, g, t, out=Y[k]), Fc)
-    raise RuntimeError("no contraction at this resolution")
+    def free_flow(ks):  # the free flow U(t) Q0 U(-t) on frames ks, over their old arrays
+        for k in ks:
+            Y[k] = _y_frame(K0hat, g, times[k], out=Y[k])
+            rho[k] = _y_density(Y[k], Fc)
+
+    def split_free_flow():  # the odd frames go to the helper
+        ks = range(len(times))
+        if helper is not None:
+            helper.submit(lambda odd=ks[1::2]: free_flow(odd))
+            ks = ks[::2]
+        free_flow(ks)
+        if helper is not None:
+            helper.result()
+
+    try:
+        # the first iterate is the free flow U(t) Q0 U(-t).  Its frames are allocated on
+        # this thread: a helper thread allocates from an allocator arena of its own, which
+        # kept a freed trajectory resident (+4 MB peak RSS, d=3 LWP pipeline at N = 512).
+        Y = [np.empty((N, N), dtype=complex) for _ in times]
+        rho = [None] * len(times)
+        split_free_flow()
+        for halving in range(max_halvings + 1):
+            data_norm = _data_norm(
+                bg, Trajectory(times, [Field(g, r.reshape(g.shape)) for r in rho]), scheme)
+            R = 2.0 * (q0_s2 + data_norm)
+
+            history = []
+            converged = False
+            for _ in range(80):  # sweeps per window before it counts as not contracting
+                s2_deltas, rho_delta = [], []
+                for k, t, W in _duhamel_accumulate(g, times, dt, commutator):
+                    # once W_k is formed, step k - 1's integrand buffer is free: the new
+                    # frame goes there
+                    free = cbufs[(k + 2) % 3]
+                    new = _y_frame(np.add(K0hat, W, out=free), g, t, out=free)
+                    # commutator(k) has read the old frame: it now holds the difference
+                    old = np.subtract(new, Y[k], out=Y[k])
+                    s2_deltas.append(_kernel_s2(old, g))
+                    r = _y_density(new, Fc)
+                    rho_delta.append(Field(g, (r - rho[k]).reshape(g.shape)))
+                    Y[k], rho[k], cbufs[(k + 2) % 3] = new, r, old
+                del W  # else it lives on beside the next sweep's integral
+                delta = max(s2_deltas) + _data_norm(bg, Trajectory(times, rho_delta), scheme)
+                history.append(delta)
+                if not np.isfinite(delta):
+                    break
+                if delta <= tol * max(1.0, R):
+                    converged = True
+                    break
+                if len(history) >= 2 and history[-1] >= 0.9 * history[-2]:
+                    break
+            if converged:
+                return HartreeRun(
+                    times=times, Q_frames=_KernelFrames(Y, g),
+                    rho_frames=[Field(g, r.reshape(g.shape)) for r in rho], T=T, dt=dt,
+                    contraction_history=history, R=R, data_norm=data_norm, scheme=scheme,
+                    meta={"halvings": halving, "sweeps": len(history), "workers": workers},
+                )
+            T = T / 2.0
+            try:
+                times = _uniform_times(T, dt)
+            except ValueError:  # the halved window is off the dt grid or under 4 steps
+                raise RuntimeError("no contraction at this resolution") from None
+            # the shorter window restarts from its free flow, written over the first frames
+            del Y[len(times):], rho[len(times):]
+            split_free_flow()
+        raise RuntimeError("no contraction at this resolution")
+    finally:
+        if helper is not None:
+            helper.close()
 
 
 def dense_rk4_oracle(Q0, bg: BackgroundState, T: float, dt: float) -> HartreeRun:

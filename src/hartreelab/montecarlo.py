@@ -11,7 +11,7 @@ Draw m uses sample stream m, and no matrix product takes a single draw
 bits in any ensemble of two or more draws.  The time window [0, T] is short
 enough that wavepackets stay well inside the periodic box.
 
-Each ensemble runs on one thread per usable core (os.sched_getaffinity),
+Each ensemble runs on one thread per usable core (grid._workers),
 with no option to set: numpy's FFT, matmul, einsum and reductions release
 the GIL, so the threads overlap.  One core runs inline, with no thread.
 The full experiment's W <= n_frames workers take draws i, i + W, ..., each
@@ -37,7 +37,6 @@ rounding (about 1e-15 relative), not bit for bit.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +45,7 @@ from functools import reduce
 import numpy as np
 
 from .exponents import full_estimate_check, singular_estimate_exponents
-from .grid import Field, _check_memory, bessel_multiplier, free_propagator, make_grid
+from .grid import Field, _check_memory, _workers, bessel_multiplier, free_propagator, make_grid
 from .linop import (
     LowRankOperator,
     _CHUNK_ENTRIES,
@@ -161,15 +160,6 @@ def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q,
                       workers: int = 1) -> np.ndarray:
     """L^p_t L^q_x per draw for fields of shape (M, K, *spatial)."""
     return _time_norms(_space_norms(fields, hd, q, workers), weights, p)
-
-
-def _workers(parts: int) -> int:
-    """Threads for parts independent pieces of work: one per usable core, at most parts."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, parts))
 
 
 def _in_threads(W: int, work) -> None:

@@ -9,6 +9,7 @@ numpy's pairwise summation, so results are independent of worker count.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,22 @@ def density_trajectory(A, times) -> Trajectory:
     return Trajectory(times, frames)
 
 
+def _check_finite_rows(path, header: list, rows: list):
+    """Refuse, before path is written, a CSV row holding a non-finite number.
+
+    A cell is a number if float() reads it (labels are not); the RuntimeError
+    names the file, the column and the 1-based data row.
+    """
+    for i, row in enumerate(rows, start=1):
+        for name, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except (TypeError, ValueError):
+                continue
+            if not math.isfinite(value):
+                raise RuntimeError(f"{path}: column {name!r} of row {i} is {value!r}, not finite")
+
+
 # resamples of every bootstrap: moment standard errors and slope intervals
 _BOOTSTRAP_DRAWS = 200
 
@@ -162,8 +179,11 @@ class MomentTable:
         return bool(np.all(v[1:] >= v[:-1] - slack * (e[1:] + e[:-1])))
 
     def to_csv(self, path):
+        header = ["r", "value", "stderr", "M", "seed"]
+        rows = [[repr(float(r)), repr(float(v)), repr(float(e)), self.n_samples, self.seed]
+                for r, v, e in zip(self.orders, self.values, self.stderrs)]
+        _check_finite_rows(path, header, rows)
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
-            wr.writerow(["r", "value", "stderr", "M", "seed"])
-            for r, v, e in zip(self.orders, self.values, self.stderrs):
-                wr.writerow([repr(float(r)), repr(float(v)), repr(float(e)), self.n_samples, self.seed])
+            wr.writerow(header)
+            wr.writerows(rows)

@@ -21,6 +21,7 @@ dependence and replay bit-identically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -51,7 +52,8 @@ class SubgaussianFamily:
     kind='gaussian' with variance param, 'rademacher' (+-1), 'uniform' on
     [-param, param], or 'degenerate' (constant 1; no randomness, used for
     collapse checks).  The moment-generating bound E e^{zeta X} <= e^{C zeta^2}
-    holds with C = subgaussian_constant.
+    holds with C = subgaussian_constant.  param must be finite and positive for
+    every kind, since every record carries it.
     """
 
     kind: str
@@ -61,8 +63,8 @@ class SubgaussianFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind in ("gaussian", "uniform") and not self.param > 0:
-            raise ValueError("family parameter must be positive")
+        if not (math.isfinite(self.param) and self.param > 0):
+            raise ValueError(f"family parameter must be finite and positive, got {self.param}")
 
     @property
     def subgaussian_constant(self) -> float:

@@ -214,7 +214,7 @@ def test_solve_record_names_the_integrator(tmp_path, capsys):
     rec = json.loads((picard / "record.json").read_text())
     with open(picard / "contraction.csv") as fh:
         sweeps = len(list(csv.DictReader(fh)))
-    assert sweeps > 0 and rec["meta"] == {"halvings": 0, "sweeps": sweeps}
+    assert sweeps > 0 and rec["meta"] == {"halvings": 0, "sweeps": sweeps, "workers": 1}
     assert f"after {sweeps} sweeps" in capsys.readouterr().out
     assert rec["R"] > 0 and rec["data_norm"] > 0
     assert rec["outputs"] == [str(picard / "trajectory.csv"), str(picard / "contraction.csv")]
@@ -490,6 +490,26 @@ def test_bad_ensemble_config_exits_one_by_name(tmp_path, capsys, kind, key, valu
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize("kind, section", [("singular", "randomization"),
+                                           ("full", "randomization_g"),
+                                           ("function", "randomization")])
+def test_a_huge_family_parameter_exits_by_name(tmp_path, capsys, kind, section):
+    # param = inf is refused by name (exit 1); param = 1e308 overflows the moments,
+    # which moments.csv refuses by file, column and row (exit 2) and is not written
+    for value, code, named in (("inf", 1, "error: family parameter must be finite and positive"),
+                               ("1e308", 2, "numeric failure: ")):
+        out = tmp_path / value
+        text = _with(_ENSEMBLE_CONFIGS[kind], {(section, "param"): value})
+        cfg = _write(tmp_path / "c.config", text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["strichartz", kind, "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(named)
+        if code == 2:
+            assert "moments.csv: column 'value' of row 1 is inf, not finite" in err
+            assert not (out / "moments.csv").exists()
+
+
 _LOCALIZED = {("initial", "kind"): "localized"}
 _L_RULE = "L^(2d) and (L/n)^(2d) and their inverses must be finite and nonzero"
 _WIDTH_RULE = "width^2 and its inverse must be finite and nonzero"
@@ -555,17 +575,33 @@ _PROPERTY_MEMORY = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
 
 
 def _run_in_memory(argv, text):
+    """The exit code of one in-process run and the numbers of every CSV it wrote."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sysconf", _PROPERTY_MEMORY.get)
         cfg = _write(Path(tmp) / "c.config", text)
-        return run([*argv, "--config", cfg, "--out", str(Path(tmp) / "o")])
+        code = run([*argv, "--config", cfg, "--out", str(Path(tmp) / "o")])
+        numbers = []
+        for path in sorted((Path(tmp) / "o").glob("*.csv")):
+            with open(path, newline="") as fh:
+                for row in list(csv.reader(fh))[1:]:
+                    numbers += [float(cell) for cell in row if _is_number(cell)]
+        return code, numbers
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("argv, base, sections", _PROPERTY_BASES,
                          ids=[" ".join(a) + (" oracle" if "oracle" in b else "")
                               for a, b, _ in _PROPERTY_BASES])
 def test_each_property_base_config_runs(argv, base, sections):
-    assert _run_in_memory(argv, base) == 0
+    code, numbers = _run_in_memory(argv, base)
+    assert code == 0 and all(np.isfinite(numbers))
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -576,4 +612,7 @@ def test_a_single_bad_config_value_exits_zero_one_or_two(case, data):
     section = data.draw(st.sampled_from(sections))
     key = data.draw(st.sampled_from(_CONFIG_KEYS[section]))
     value = data.draw(st.sampled_from(_PROPERTY_VALUES))
-    assert _run_in_memory(argv, _with(base, {(section, key): value})) in (0, 1, 2)
+    code, numbers = _run_in_memory(argv, _with(base, {(section, key): value}))
+    assert code in (0, 1, 2)
+    # an exit 0 wrote only finite numbers
+    assert code != 0 or all(np.isfinite(numbers))

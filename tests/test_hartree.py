@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -293,7 +295,7 @@ def test_in_place_sweep_matches_a_two_list_sweep_bit_for_bit(case):
     Q0 = _small_data(g, rank=3, seed=1, scale=scale)
     run = picard_solve(Q0, bg, T, 1e-3, scheme=scheme)
     Q, rho, history, meta = _two_list_y_picard(Q0, bg, T, 1e-3, 1e-9, scheme)
-    assert run.meta == meta and meta["halvings"] == halvings
+    assert {k: run.meta[k] for k in meta} == meta and meta["halvings"] == halvings
     assert _bits(run.Q_frames) == _bits(Q)
     assert _bits(f.values for f in run.rho_frames) == _bits(f.values for f in rho)
     assert _bits(run.contraction_history) == _bits(history)
@@ -310,7 +312,7 @@ def test_sweep_matches_the_x_space_sweep(case):
     Q0 = _small_data(g, rank=3, seed=1, scale=scale)
     run = picard_solve(Q0, bg, T, 1e-3, scheme=scheme)
     Q, rho, history, meta = _two_list_picard(Q0, bg, T, 1e-3, 1e-9, scheme)
-    assert run.meta == meta and meta["halvings"] == halvings
+    assert {k: run.meta[k] for k in meta} == meta and meta["halvings"] == halvings
     hd = g.h**g.d
     scale = max(hd * np.linalg.norm(K) for K in Q)
     assert max(hd * np.linalg.norm(a - b) for a, b in zip(run.Q_frames, Q)) <= 1e-14 * scale
@@ -339,6 +341,111 @@ def test_picard_holds_one_trajectory_and_its_working_kernels(w, T, halvings):
     assert run.meta["halvings"] == halvings
     kernel = g.npoints**2 * np.dtype(complex).itemsize
     assert peak <= (frames + hartree._PICARD_KERNELS) * kernel
+
+
+def _solve_on(monkeypatch, workers, case):
+    # workers usable cores, on any host
+    d, n, L, w, scale, T, dt, scheme = case
+    monkeypatch.setattr(hartree, "_workers", lambda parts: min(workers, parts))
+    g = make_grid(d, n, L)
+    bg = make_background(g, "gaussian", "delta", w_scale=w)
+    return picard_solve(_small_data(g, rank=3, seed=1, scale=scale), bg, T, dt, scheme=scheme)
+
+
+# (d, n, L, w_scale, data scale, T, dt, scheme): solves above the thread crossover
+_THREADED_CASES = {
+    "d2-full-window": (2, 16, 16.0, 1.0, 0.05, 0.05, 1e-3, "d2"),
+    "d2-one-halving": (2, 16, 16.0, 20000.0, 1.0, 0.016, 1e-3, "d2"),
+    "d3": (3, 8, 12.0, 1.0, 0.05, 0.04, 2e-3, "d3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_THREADED_CASES))
+def test_threaded_sweep_is_the_same_bits_as_the_inline_sweep(case, monkeypatch):
+    # each frame runs the same operations in the same order on either thread; the
+    # threaded solve switches threads every 10 microseconds and ends its helper
+    inline = _solve_on(monkeypatch, 1, _THREADED_CASES[case])
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = _solve_on(monkeypatch, 2, _THREADED_CASES[case])
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == baseline
+    assert inline.meta["workers"] == 1 and threaded.meta["workers"] == 2
+    assert threaded.meta["halvings"] == (1 if case == "d2-one-halving" else 0)
+    assert _bits(threaded.Q_frames) == _bits(inline.Q_frames)
+    assert _bits(f.values for f in threaded.rho_frames) == \
+        _bits(f.values for f in inline.rho_frames)
+    assert _bits(threaded.contraction_history) == _bits(inline.contraction_history)
+
+
+@pytest.mark.parametrize("n", [hartree._PICARD_THREAD_POINTS // 2, hartree._PICARD_THREAD_POINTS])
+def test_a_helper_thread_starts_only_at_the_crossover(n, monkeypatch):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    run = _solve_on(monkeypatch, 2, (1, n, 20.0, 1.0, 0.1, 0.01, 1e-3, "d1"))
+    threaded = n >= hartree._PICARD_THREAD_POINTS
+    assert run.meta["workers"] == (2 if threaded else 1)
+    assert started == (["picard-helper"] if threaded else [])
+
+
+class _Planted(Exception):
+    pass
+
+
+def test_a_helper_error_reaches_the_caller_as_itself(monkeypatch):
+    # commutator 7 of the first sweep is formed on the helper thread and fails there
+    planted, calls, where = _Planted("frame 7"), [], []
+    flat = hartree._flat_potential
+
+    def failing(bg, rho_values):
+        calls.append(None)
+        if len(calls) == 8:
+            where.append(threading.current_thread())
+            raise planted
+        return flat(bg, rho_values)
+
+    monkeypatch.setattr(hartree, "_flat_potential", failing)
+    baseline = threading.active_count()
+    with pytest.raises(_Planted) as raised:
+        _solve_on(monkeypatch, 2, _THREADED_CASES["d2-full-window"])
+    assert raised.value is planted and where[0] is not threading.main_thread()
+    assert threading.active_count() == baseline
+
+
+def test_a_main_thread_error_mid_sweep_ends_the_helper(monkeypatch):
+    # the fifth S^2 norm (frame 3 of the first sweep) fails while the helper forms
+    # commutator 4
+    calls, running = [], []
+    s2 = hartree._kernel_s2
+
+    def failing(K, grid):
+        calls.append(None)
+        if len(calls) == 5:
+            running.append(threading.active_count())
+            raise _Planted("mid-sweep")
+        return s2(K, grid)
+
+    monkeypatch.setattr(hartree, "_kernel_s2", failing)
+    baseline = threading.active_count()
+    with pytest.raises(_Planted, match="mid-sweep"):
+        _solve_on(monkeypatch, 2, _THREADED_CASES["d2-full-window"])
+    assert running == [baseline + 1] and threading.active_count() == baseline
+
+
+def test_no_contraction_on_two_threads_ends_the_helper(monkeypatch):
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="no contraction"):
+        _solve_on(monkeypatch, 2, (1, 256, 16.0, 40000.0, 1.0, 0.016, 1e-3, "d1"))
+    assert threading.active_count() == baseline
 
 
 def test_lwp_pipeline_holds_one_draw_at_a_time():
@@ -827,9 +934,8 @@ def test_frame_commutator_and_density_match_the_x_space_forms(d, seed, f):
     K += K.conj().T
     v = np.random.default_rng([seed, 1]).standard_normal(g.npoints)
     Fc = hartree._dft_conj_matrix(g)
-    E = Fc * (bg.f.symbol.real.reshape(-1) / g.h**g.d)
     Y = _dft(_to_mom(K, g), g, np.fft.ifftn, rows=True)
-    got = hartree._frame_commutator(Y, E, v, g)
+    got = hartree._frame_commutator(Y, Fc, bg.f.symbol.real.reshape(-1) / g.h**g.d, v, g)
     want = _to_mom(_commutator_kernel(v, K + gamma_f_kernel(bg)), g)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     diag = np.real(np.diagonal(K))

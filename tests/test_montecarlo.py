@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hartreelab.grid import Field, apply_multiplier, bessel_multiplier, free_propagate, make_grid
+from hartreelab.grid import (
+    Field, _workers, apply_multiplier, bessel_multiplier, free_propagate, make_grid,
+)
 from hartreelab.linop import (
     LowRankOperator,
     _apply_multiplier_stack,
@@ -463,9 +465,9 @@ def test_workers_fall_back_to_the_cpu_count(monkeypatch):
     # hosts without an affinity call count their cores, and at most one per part
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert montecarlo._workers(10) == 3 and montecarlo._workers(2) == 2
+    assert _workers(10) == 3 and _workers(2) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert montecarlo._workers(10) == 1
+    assert _workers(10) == 1
 
 
 @pytest.mark.parametrize("given", [False, True])

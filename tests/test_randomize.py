@@ -28,6 +28,10 @@ def test_family_kinds_and_constants():
         SubgaussianFamily("poisson", 0)
     with pytest.raises(ValueError):
         SubgaussianFamily("gaussian", 0, 0.0)
+    for kind in ("gaussian", "rademacher"):  # every kind records its param
+        for param in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                SubgaussianFamily(kind, 0, param)
     rec = SubgaussianFamily("gaussian", 5, 2.0).to_record()
     assert rec == {"kind": "gaussian", "seed": 5, "param": 2.0}
 
