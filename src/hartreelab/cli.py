@@ -39,7 +39,7 @@ from .exponents import (
     singular_estimate_exponents,
     sobolev_admissible,
 )
-from .grid import make_grid
+from .grid import _usable_cores, make_grid
 from .hartree import (
     calibrate_l1_constant,
     dense_rk4_oracle,
@@ -227,7 +227,10 @@ def _openblas_core():
 
 
 def _env_fingerprint() -> dict:
-    """Interpreter, numpy and BLAS build, BLAS kernel and core count of the running host.
+    """Interpreter, numpy and BLAS build, BLAS kernel and core counts of the running host.
+
+    ``cores`` counts the host's cores, ``usable_cores`` those this process may run
+    on (its affinity set), which bound the threads of every threaded path.
 
     The last bit of a BLAS reduction depends on the kernel the BLAS picks for
     the CPU (``blas.core``, not the build string), so a byte mismatch between
@@ -240,6 +243,7 @@ def _env_fingerprint() -> dict:
         "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
         | {"core": _openblas_core()},
         "cores": os.cpu_count(),
+        "usable_cores": _usable_cores(),
     }
 
 
@@ -443,7 +447,8 @@ def _cmd_hartree(args) -> int:
         _write_csv(traj_path, ["t", "rho_l2"] + _PROV_HEADER, rows)
         rec = _write_record(out_dir, "hartree linearized", _cfg_dict(cp), seed,
                             [traj_path], "ok", t0,
-                            extra={"residual": lin.residual, "c0": lin.c0})
+                            extra={"residual": lin.residual, "c0": lin.c0,
+                                   "meta": {"workers": lin.workers}})
         print(f"residual = {lin.residual:.3e}, c0 = {lin.c0:.12g}")
         print(f"wrote {traj_path} and {rec}")
         return EXIT_OK
@@ -459,7 +464,8 @@ def _cmd_hartree(args) -> int:
         rec = _write_record(out_dir, "hartree scatter", _cfg_dict(cp), seed,
                             [ladder_path], "ok", t0,
                             extra={"alpha": rep.alpha, "verdict": rep.verdict,
-                                   "cauchy_consistent": rep.cauchy_consistent})
+                                   "cauchy_consistent": rep.cauchy_consistent,
+                                   "meta": {"workers": rep.workers}})
         print(f"{rep.verdict}; distances: {[float(x) for x in rep.distances]}")
         print(f"wrote {ladder_path} and {rec}")
         return EXIT_OK

@@ -11,13 +11,14 @@ multiplier application is phase-free (the boundary-offset phases cancel), so
 it reduces to plain FFTs: _apply_multiplier_stack is the package's one
 F^{-1} m F pass, over the grid axes of a field, a factor stack or either
 index of a dense kernel.  _check_memory is the one size rule for the paths
-that hold dense kernels or (frames, N) stacks, and _workers the one rule for
-how many threads a path may run.
+that hold dense kernels or (frames, N) stacks, _workers the one rule for
+how many threads a path may run, and _in_threads the one runner of those threads.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -248,16 +249,53 @@ def convolve_potential(w_hat: FourierMultiplier, rho: Field) -> Field:
     return out
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set, or the CPU count where the
+    platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _workers(parts: int) -> int:
     """Threads for parts independent pieces of work: one per usable core, at most parts.
 
-    The one core rule: the ensembles and the Picard sweep size their threads by it.
+    The one core rule: the ensembles, the Picard sweep and the linearized solve's
+    frequency stages size their threads by it.
     """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, parts))
+    return max(1, min(_usable_cores(), parts))
+
+
+def _in_threads(W: int, work) -> None:
+    """Run work(0, stop), ..., work(W - 1, stop), one thread each; W = 1 runs
+    inline, with no thread.
+
+    The one thread runner, of the ensembles and the linearized solve.  numpy's
+    FFT, matmul, einsum and reductions release the GIL, so the workers overlap.
+    Each work loop returns once the event stop is set, which a failing worker
+    or an interrupted caller sets: the other workers end at their next piece of
+    work, and the worker's exception is re-raised here, itself.
+    """
+    stop = threading.Event()
+    if W == 1:
+        work(0, stop)
+        return
+    # imported here: concurrent.futures loads logging, about 9 ms of every command's start
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(i):
+        try:
+            work(i, stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(W) as pool:
+        try:
+            list(pool.map(run, range(W)))
+        finally:
+            stop.set()
 
 
 def _check_memory(grid: Grid, what: str, kernels: int = 0, stacks: float = 0, frames: int = 0):

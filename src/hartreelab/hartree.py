@@ -17,9 +17,15 @@ against the real kernel stack of _l1_kernel_stack, taken two ways on purpose:
 _march_density solves with it as a direct sum over contiguous views of the
 history, and _l1_convolve (behind l1_apply_fourier and the solve's residual)
 applies it as one zero-padded FFT convolution along time, so the residual is
-an independent check of the march.  scattering_diagnostic runs on the
-density of linearized_solve, which holds the one c0 default (calibrated, or
-0 when f or w vanishes).
+an independent check of the march.  Both are diagonal in the frequency and
+run on one thread per usable core (grid._workers, through grid._in_threads),
+with no option: the march gives each thread one block of columns to take
+through every step, and the convolution hands out column blocks, narrowed so
+that all threads together hold one thread's working set.  Each column runs
+the same operations in the same order on any thread, so the bits do not
+depend on the thread count; one usable core runs inline.  scattering_diagnostic
+runs on the density of linearized_solve, which holds the one c0 default
+(calibrated, or 0 when f or w vanishes).
 
 The accumulator works in the momentum basis.  With F the unitary DFT on
 the flattened grid (numpy's norm="ortho"), a dense kernel K is carried as
@@ -96,6 +102,7 @@ from .grid import (
     _apply_multiplier_stack,
     _check_memory,
     _check_same_grid,
+    _in_threads,
     _workers,
     bessel_multiplier,
     convolve_potential,
@@ -259,8 +266,9 @@ _PICARD_KERNELS = 7
 # (frames, N) complex stacks the frequency-domain march holds: source_hat,
 # rho_hat, the real kernel stack G (half a stack), its reversed interleaved copy
 # and the weighted history.  tracemalloc peak of linearized_solve with c0 given,
-# 257 frames: 4.5 stacks at d=2, N = 4096; 5.6 at N = 1024, where the free flow's
-# fixed 4 MB chunk is one more stack.
+# 257 frames, on one or two workers: 4.5 stacks at d=2, N = 4096 (4.55 on two);
+# 5.65 at N = 1024, where the free flow's fixed 4 MB chunk is one more stack.  The
+# threaded stages allocate their block buffers before their threads start.
 _MARCH_STACKS = 6
 
 
@@ -954,16 +962,19 @@ def _l1_kernel_stack(bg: BackgroundState, n_frames: int, dt: float) -> np.ndarra
     idx = np.arange(n)
     xi_plus = xi[(idx[:, None] + idx[None, :]) % n]  # wrapped zeta + eta per axis
     xi_minus = xi[(idx[None, :] - idx[:, None]) % n]  # wrapped eta - zeta per axis
+    # the phase exponents per axis; lag theta's phases are e^{-i theta e}
+    e1 = xi_plus**2 - xi[None, :] ** 2
+    e2 = xi[None, :] ** 2 - xi_minus**2
     fsym = bg.f.symbol.real.astype(complex)
     wsym = bg.w_hat.symbol
     G = np.empty((n_frames,) + g.shape)
     G[0] = 0.0
+    # one thread: with the lags' mode products (BLAS) on worker threads, the peak
+    # RSS of a later dense scatter ladder rose by 14 MB in some process layouts
     for m in range(1, n_frames):
         theta = m * dt
-        A1 = np.exp(-1j * theta * (xi_plus**2 - xi[None, :] ** 2))
-        A2 = np.exp(-1j * theta * (xi[None, :] ** 2 - xi_minus**2))
-        S1 = _modeprod(A1, fsym, g.d)
-        S2 = _modeprod(A2, fsym, g.d)
+        S1 = _modeprod(np.exp(-1j * theta * e1), fsym, g.d)
+        S2 = _modeprod(np.exp(-1j * theta * e2), fsym, g.d)
         G[m] = np.real(wsym * 0.5j * (S1 - S2)) / g.L**g.d
     _L1_CACHE[key] = G
     return G
@@ -1047,12 +1058,21 @@ class LinearizedRun:
     rho_frames: list
     residual: float
     c0: float
+    workers: int  # threads of the march
 
 
-# frequency columns per FFT pass of _l1_convolve: the pass works through the
-# (time, frequency) array in column blocks, so its working set stays below one
-# (frames, N) complex stack
+# frequency columns per FFT pass of _l1_convolve, shared by all its workers: the
+# pass works through the (time, frequency) array in column blocks of
+# _CONVOLVE_COLUMNS / workers, so the blocks in flight stay below one (frames, N)
+# complex stack on any number of workers
 _CONVOLVE_COLUMNS = 512
+
+
+# the threaded frequency stages split their columns into blocks that start and end
+# on multiples of _BLOCK_COLUMNS (N = n^d, n >= 8, is one), so numpy's SIMD loops take
+# every block in whole vectors: a column in a loop's scalar tail can round
+# differently from one in a vector, and its bits would then depend on the split
+_BLOCK_COLUMNS = 8
 
 
 def _smooth_length(n: int) -> int:
@@ -1078,6 +1098,13 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
     stack is reversed once, so that G[k-j], j < k, is the contiguous slice
     Gr[K-1-k:K-1], and the weighted history w_j rho_hat[j] is kept alongside
     rho_hat.  Each step is then one contraction with no copy of the history.
+
+    Every frequency column is its own march.  The columns are split into one
+    contiguous block per usable core, and each worker takes its block through
+    all K steps with no hand-off between steps, so a column runs the same
+    operations whichever worker takes it.  A worker stops once its columns
+    alone pass the divergence bound; the frames are then checked in order, as
+    a single march checks them, so the error names the same step.
     """
     if not math.isfinite(c0):
         raise ValueError(f"c0 must be finite, got {c0}")
@@ -1086,22 +1113,42 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
     G = _l1_kernel_stack(bg, K, dt)
     N = G[0].size
     Gr = np.repeat(G[::-1].reshape(K, N), 2, axis=1)
+    src = source_hat.reshape(K, N)
     rho_hat = np.empty_like(source_hat)
-    rho_hat[0] = source_hat[0]
-    flat = rho_hat.reshape(K, N).view(float)
+    rho = rho_hat.reshape(K, N)
+    rho[0] = src[0]
+    flat = rho.view(float)
     xw = np.empty((K, 2 * N))
     np.multiply(flat[0], dt / 2, out=xw[0])
     acc = np.empty(2 * N)
     src_scale = float(np.linalg.norm(source_hat))
-    for k in range(1, K):
-        np.einsum("jm,jm->m", Gr[K - 1 - k:K - 1], xw[:k], out=acc)
-        rho_hat[k] = source_hat[k] - c0 * acc.view(complex).reshape(source_hat.shape[1:])
-        np.multiply(flat[k], dt, out=xw[k])
-        if src_scale > 0 and np.linalg.norm(rho_hat[k]) > 1e6 * src_scale:
-            raise RuntimeError(
-                "linearized marching diverged: growth factor "
-                f"{np.linalg.norm(rho_hat[k]) / src_scale:.3e} (response not invertible)"
-            )
+    parts = N // _BLOCK_COLUMNS
+    W = _workers(parts)
+    edges = [_BLOCK_COLUMNS * (parts * i // W) for i in range(W + 1)]
+    passed = [K] * W  # the first step at which worker i's columns alone pass the bound
+
+    def work(i, halt):  # columns edges[i]:edges[i + 1], through every step
+        c = slice(edges[i], edges[i + 1])
+        f = slice(2 * c.start, 2 * c.stop)  # the same columns, interleaved (re, im)
+        for k in range(1, K):
+            if halt.is_set() or k > min(passed):
+                return
+            np.einsum("jm,jm->m", Gr[K - 1 - k:K - 1, f], xw[:k, f], out=acc[f])
+            rho[k, c] = src[k, c] - c0 * acc[f].view(complex)
+            np.multiply(flat[k, f], dt, out=xw[k, f])
+            if src_scale > 0 and np.linalg.norm(rho[k, c]) > 1e6 * src_scale:
+                passed[i] = k
+
+    _in_threads(W, work)
+    if src_scale > 0:
+        # every column is marched at least to step min(passed), by which the whole
+        # frame has passed the bound if any block has
+        for k in range(1, K):
+            if np.linalg.norm(rho_hat[k]) > 1e6 * src_scale:
+                raise RuntimeError(
+                    "linearized marching diverged: growth factor "
+                    f"{np.linalg.norm(rho_hat[k]) / src_scale:.3e} (response not invertible)"
+                )
     return rho_hat
 
 
@@ -1114,7 +1161,7 @@ def _l1_convolve(bg: BackgroundState, times: np.ndarray, rho_hat: np.ndarray,
     fully known, the causal sum is one zero-padded linear convolution along
     time.  G is real, so the real and imaginary parts of the weighted input
     are convolved with real transforms, padded to a 5-smooth length >= 2K - 1
-    and taken over blocks of _CONVOLVE_COLUMNS frequencies.
+    and taken over column blocks, which the usable cores take in turn.
     """
     K = len(times)
     dt = float(times[1] - times[0])
@@ -1126,13 +1173,36 @@ def _l1_convolve(bg: BackgroundState, times: np.ndarray, rho_hat: np.ndarray,
     x = rho_hat.reshape(K, N)
     out = np.empty_like(rho_hat)
     res = out.reshape(K, N)
-    for i in range(0, N, _CONVOLVE_COLUMNS):
-        cols = slice(i, i + _CONVOLVE_COLUMNS)
-        Gf = np.fft.rfft(G[:, cols], n=L, axis=0)
-        xc = w * x[:, cols]
-        res.real[:, cols] = np.fft.irfft(Gf * np.fft.rfft(xc.real, n=L, axis=0), n=L, axis=0)[:K]
-        res.imag[:, cols] = np.fft.irfft(Gf * np.fft.rfft(xc.imag, n=L, axis=0), n=L, axis=0)[:K]
-    res *= c0
+    width = max(1, _CONVOLVE_COLUMNS // _workers(N) // _BLOCK_COLUMNS) * _BLOCK_COLUMNS
+    W = _workers(-(-N // width))
+    # each worker's block buffers, allocated here: what a worker thread allocates
+    # stays resident in its own malloc arena after the pass
+    H = L // 2 + 1
+    bufs = [(np.empty((H, width), complex), np.empty((H, width), complex),
+             np.empty((K, width), complex), np.empty((L, width))) for _ in range(W)]
+    # A complex product's last bit depends on its operand order.  The allocating
+    # form Gf * rfft(...) over blocks of min(N, _CONVOLVE_COLUMNS) columns is taken
+    # by numpy in the rfft's temporary, as rfft(...) * Gf, once that temporary holds
+    # 256 KiB (temporary elision); the same order keeps the residual and the
+    # calibrated c0 to their bits on any block width.
+    swapped = H * min(N, _CONVOLVE_COLUMNS) * np.dtype(complex).itemsize >= 256 * 1024
+
+    def work(i, halt):  # column blocks i, i + W, ...
+        for a in range(i * width, N, W * width):
+            if halt.is_set():
+                return
+            cols = slice(a, a + width)
+            Gf, X, xc, y = (buf[:, :min(width, N - a)] for buf in bufs[i])
+            np.fft.rfft(G[:, cols], n=L, axis=0, out=Gf)
+            np.multiply(w, x[:, cols], out=xc)
+            for part, into in ((xc.real, res.real), (xc.imag, res.imag)):
+                np.fft.rfft(part, n=L, axis=0, out=X)
+                np.multiply(*((X, Gf) if swapped else (Gf, X)), out=X)
+                np.fft.irfft(X, n=L, axis=0, out=y)
+                into[:, cols] = y[:K]
+            res[:, cols] *= c0
+
+    _in_threads(W, work)
     out[0] = 0.0  # G[0] = 0: no response at t = 0
     return out
 
@@ -1166,7 +1236,8 @@ def linearized_solve(
     src_scale = float(np.linalg.norm(source_hat))
     residual = float(np.linalg.norm(resid) / src_scale) if src_scale > 0 else 0.0
     rho_frames = [Field(g, np.real(np.fft.ifftn(rho_hat[k]))) for k in range(len(times))]
-    return LinearizedRun(times=times, rho_frames=rho_frames, residual=residual, c0=float(c0))
+    return LinearizedRun(times=times, rho_frames=rho_frames, residual=residual, c0=float(c0),
+                         workers=_workers(g.npoints // _BLOCK_COLUMNS))
 
 
 @dataclass
@@ -1178,6 +1249,7 @@ class ScatteringReport:
     alpha: float
     cauchy_consistent: bool
     verdict: str
+    workers: int  # threads of the linearized solve under the ladder
 
 
 def scattering_diagnostic(
@@ -1220,7 +1292,8 @@ def scattering_diagnostic(
     if n_rungs - 1 > math.log2(len(times) - 1):
         raise ValueError(f"n_rungs = {n_rungs} puts the first rung T / 2^{n_rungs - 1} "
                          f"below dt = {dt}")
-    rho_frames = linearized_solve(Q0, bg, T, dt, c0=c0).rho_frames
+    lin = linearized_solve(Q0, bg, T, dt, c0=c0)
+    rho_frames = lin.rho_frames
 
     ladder = np.array([T / 2 ** (n_rungs - i) for i in range(1, n_rungs + 1)])
     rungs = [_times_index(times, t) for t in ladder]
@@ -1245,7 +1318,7 @@ def scattering_diagnostic(
         verdict = "Cauchy-consistent" if ok else "no scattering at this horizon"
     return ScatteringReport(
         checkpoint_times=ladder, distances=dists, alpha=float(alpha_sc),
-        cauchy_consistent=ok, verdict=verdict,
+        cauchy_consistent=ok, verdict=verdict, workers=lin.workers,
     )
 
 

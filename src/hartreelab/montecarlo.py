@@ -37,7 +37,6 @@ rounding (about 1e-15 relative), not bit for bit.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -45,7 +44,9 @@ from functools import reduce
 import numpy as np
 
 from .exponents import full_estimate_check, singular_estimate_exponents
-from .grid import Field, _check_memory, _workers, bessel_multiplier, free_propagator, make_grid
+from .grid import (
+    Field, _check_memory, _in_threads, _workers, bessel_multiplier, free_propagator, make_grid,
+)
 from .linop import (
     LowRankOperator,
     _CHUNK_ENTRIES,
@@ -160,36 +161,6 @@ def _mixed_norm_batch(fields: np.ndarray, weights: np.ndarray, hd: float, p, q,
                       workers: int = 1) -> np.ndarray:
     """L^p_t L^q_x per draw for fields of shape (M, K, *spatial)."""
     return _time_norms(_space_norms(fields, hd, q, workers), weights, p)
-
-
-def _in_threads(W: int, work) -> None:
-    """Run work(0, stop), ..., work(W - 1, stop), one thread each; W = 1 runs
-    inline, with no thread.
-
-    numpy's FFT, matmul, einsum and reductions release the GIL, so the
-    workers overlap.  Each work loop returns once the event stop is set,
-    which a failing worker or an interrupted caller sets: the other workers
-    end at their next draw, and the worker's exception is re-raised here.
-    """
-    stop = threading.Event()
-    if W == 1:
-        work(0, stop)
-        return
-    # imported here: concurrent.futures loads logging, about 9 ms of every command's start
-    from concurrent.futures import ThreadPoolExecutor
-
-    def run(i):
-        try:
-            work(i, stop)
-        except BaseException:
-            stop.set()
-            raise
-
-    with ThreadPoolExecutor(W) as pool:
-        try:
-            list(pool.map(run, range(W)))
-        finally:
-            stop.set()
 
 
 def _check_ensemble(M: int, T: float, orders, n_frames: int, sigma: float = 0.0, **exponents):

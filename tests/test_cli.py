@@ -176,8 +176,37 @@ def test_record_carries_environment_fingerprint(tmp_path):
                 "--out", str(out)]) == 0
     env = json.loads((out / "record.json").read_text())["env"]
     assert env["numpy"] == np.__version__ and env["cores"] == os.cpu_count()
+    assert env["usable_cores"] == len(os.sched_getaffinity(0))
     assert set(env["blas"]) == {"name", "version", "openblas configuration", "core"}
     assert env["blas"]["core"] is None or isinstance(env["blas"]["core"], str)
+
+
+def test_record_counts_the_cores_this_process_may_use(tmp_path, monkeypatch):
+    # under a restricted affinity the host's core count and the usable cores differ
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    out = tmp_path / "env"
+    assert run(["hartree", "solve", "--config", str(DATA / "reference_d1.config"),
+                "--out", str(out)]) == 0
+    env = json.loads((out / "record.json").read_text())["env"]
+    assert env["usable_cores"] == 1 and env["cores"] == os.cpu_count()
+
+
+@pytest.mark.parametrize("action, written", [("linearized", "density.csv"),
+                                             ("scatter", "ladder.csv")])
+def test_linearized_and_scatter_records_name_their_workers(tmp_path, monkeypatch, action,
+                                                           written):
+    # the frequency stages run on every usable core, and write the same bytes on any
+    cfg = _write(tmp_path / "h.config", HARTREE_CONFIG.format(n=16, t=0.5, dt=1 / 32)
+                 + "\n[background]\nf_scale = 0.1\n")
+    got = {}
+    for W in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(W)), raising=False)
+        out = tmp_path / f"{action}{W}"
+        assert run(["hartree", action, "--config", cfg, "--out", str(out)]) == 0
+        rec = json.loads((out / "record.json").read_text())
+        assert rec["meta"] == {"workers": W} and rec["env"]["usable_cores"] == W
+        got[W] = (out / written).read_bytes()
+    assert got[2] == got[1] and got[3] == got[1]
 
 
 def test_hartree_picard_matches_golden_at_tolerance(tmp_path):

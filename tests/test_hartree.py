@@ -745,6 +745,136 @@ def test_l1_convolve_holds_less_than_two_stacks():
     assert peak < 2 * x.nbytes
 
 
+def _allocating_convolve(bg, K, dt, x, c0):
+    """_l1_convolve as one thread's allocating pass over blocks of 512 columns."""
+    G = hartree._l1_kernel_stack(bg, K, dt).reshape(K, -1)
+    N, L = G.shape[1], hartree._smooth_length(2 * K - 1)
+    w = np.full((K, 1), dt)
+    w[0] = dt / 2
+    x = x.reshape(K, N)
+    res = np.empty((K, N), dtype=complex)
+    for i in range(0, N, 512):
+        cols = slice(i, i + 512)
+        Gf = np.fft.rfft(G[:, cols], n=L, axis=0)
+        xc = w * x[:, cols]
+        res.real[:, cols] = np.fft.irfft(Gf * np.fft.rfft(xc.real, n=L, axis=0), n=L, axis=0)[:K]
+        res.imag[:, cols] = np.fft.irfft(Gf * np.fft.rfft(xc.imag, n=L, axis=0), n=L, axis=0)[:K]
+    res *= c0
+    res[0] = 0.0
+    return res.reshape(x.shape[:1] + bg.grid.shape)
+
+
+def _on_workers(monkeypatch, W):
+    # W usable cores for hartree's threaded stages, on any host
+    monkeypatch.setattr(hartree, "_workers", lambda parts: min(W, parts))
+
+
+# (d, n, L, K): N = 16, 64 and 512 columns, 2, 8 and 64 blocks of 8, none a
+# multiple of 3 workers.  At d = 3 the convolution's 512-column blocks hold 37 x 512
+# complex transform values (296 KiB), at d = 1 and d = 2 far less, so its products
+# take both operand orders.
+_SPLIT_CASES = {1: (16, 16.0, 21), 2: (8, 16.0, 17), 3: (8, 12.0, 33)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_linearized_stages_are_the_same_bits_on_any_number_of_workers(d, monkeypatch):
+    # each frequency column runs the same operations in the same order on whichever
+    # worker takes it; the threads switch every 10 microseconds
+    n, L, K = _SPLIT_CASES[d]
+    g = make_grid(d, n, L)
+    bg = make_background(g, "gaussian", "delta", f_scale=0.1)
+    Q0 = localized_low_rank(g, 3, np.random.default_rng(d), width=1.0)
+    dt = 0.05
+    times = dt * np.arange(K)
+    src = _frequency_input(bg, K, d)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for W in (1, 2, 3):
+            _on_workers(monkeypatch, W)
+            run = linearized_solve(Q0, bg, (K - 1) * dt, dt, c0=2.0)
+            runs[W] = (run.workers, _bits(f.values for f in run.rho_frames), run.residual,
+                       _bits([hartree._march_density(bg, times, src, 2.0)]),
+                       _bits([hartree._l1_convolve(bg, times, src, 2.0)]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [runs[W][0] for W in (1, 2, 3)] == [1, 2, 3 if d > 1 else 2]
+    assert runs[2][1:] == runs[1][1:] and runs[3][1:] == runs[1][1:]
+    # the pass over column blocks is the allocating pass, bit for bit
+    assert runs[1][4] == _bits([_allocating_convolve(bg, K, dt, src, 2.0)])
+
+
+def test_a_diverging_march_names_the_same_step_on_any_number_of_workers(monkeypatch):
+    # c0 = 1e12 passes the bound at step 1; at c0 = 2.9e6 the whole frame passes it
+    # at step 4, and each of two workers' columns alone only at step 5
+    bg = _MARCH_BACKGROUNDS[2]
+    K = 40
+    times = 0.05 * np.arange(K)
+    src = _frequency_input(bg, K, 0)
+    for c0 in (1e12, 2.9e6):
+        said = []
+        for W in (1, 2, 3):
+            _on_workers(monkeypatch, W)
+            with pytest.raises(RuntimeError, match="linearized marching diverged: growth "
+                                                   r"factor \S+ \(response not invertible\)") as e:
+                hartree._march_density(bg, times, src, c0)
+            said.append(str(e.value))
+        assert said[1] == said[0] and said[2] == said[0]
+
+
+@pytest.mark.parametrize("stage, owner, name, per_piece", [
+    ("march", np, "einsum", 1),  # one contraction per step
+    ("convolve", np.fft, "irfft", 2),  # two inverse transforms per column block
+])
+def test_a_worker_error_in_a_linearized_stage_reaches_the_caller(stage, owner, name, per_piece,
+                                                               monkeypatch):
+    # the fifth call fails on a worker thread: the caller gets that exception itself,
+    # the other worker ends its piece and takes no other, and no thread is left
+    g = make_grid(2, 32, 16.0)  # N = 1024: four convolution blocks on two workers
+    bg = make_background(g, "gaussian", "delta", f_scale=0.1)
+    K, dt = 65, 1 / 16
+    times = dt * np.arange(K)
+    src = _frequency_input(bg, K, 0)
+    _on_workers(monkeypatch, 2)
+    hartree._l1_kernel_stack(bg, K, dt)
+    planted, calls, after, where = _Planted(stage), [], [], []
+    original = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        if after:
+            after.append(None)
+        calls.append(None)
+        if len(calls) == 5:
+            where.append(threading.current_thread())
+            after.append(None)
+            raise planted
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    baseline = threading.active_count()
+    call = {"march": lambda: hartree._march_density(bg, times, src, 2.0),
+            "convolve": lambda: hartree._l1_convolve(bg, times, src, 2.0)}[stage]
+    with pytest.raises(_Planted) as raised:
+        call()
+    assert raised.value is planted and where[0] is not threading.main_thread()
+    assert len(after) <= 1 + per_piece
+    assert threading.active_count() == baseline
+
+
+def test_one_usable_core_runs_the_linearized_solve_with_no_thread(monkeypatch):
+    g = make_grid(2, 16, 16.0)
+    bg = make_background(g, "gaussian", "delta", f_scale=0.1)
+    _on_workers(monkeypatch, 1)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started on one usable core")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    run = linearized_solve(_small_data(g, seed=2), bg, 0.5, 1 / 16, c0=2.0)
+    assert run.workers == 1 and run.residual <= 1e-8
+
+
 def test_dense_paths_refuse_a_problem_larger_than_memory(monkeypatch):
     g = make_grid(1, 32, 16.0)
     bg = make_background(g, "gaussian", "delta")
