@@ -56,7 +56,7 @@ from .montecarlo import (
     function_moment_experiment,
     singular_moment_experiment,
 )
-from .norms import _check_finite_rows, lebesgue_norm
+from .norms import _write_csv, lebesgue_norm
 from .randomize import SubgaussianFamily
 
 __all__ = ["main", "run"]
@@ -197,16 +197,6 @@ def _initial_operator(cp, grid):
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-
-def _write_csv(path: str, header: list, rows: list):
-    _check_finite_rows(path, header, rows)  # a non-finite number fails the run (exit 2)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
-                         for x in row])
 
 
 def _openblas_core():

@@ -12,12 +12,14 @@ it reduces to plain FFTs: _apply_multiplier_stack is the package's one
 F^{-1} m F pass, over the grid axes of a field, a factor stack or either
 index of a dense kernel.  _check_memory is the one size rule for the paths
 that hold dense kernels or (frames, N) stacks, _workers the one rule for
-how many threads a path may run, and _in_threads the one runner of those threads.
+how many threads a path may run, _Helper the one worker thread and _in_threads
+the one runner of those threads.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -267,9 +269,44 @@ def _workers(parts: int) -> int:
     return max(1, min(_usable_cores(), parts))
 
 
+class _Helper:
+    """One helper thread that runs the calls it is given in order; the caller takes
+    their results in the same order.
+
+    A call's exception is raised again, itself, where its result is taken.  close()
+    lets the running call finish, ends the thread and joins it, so nothing the
+    calls reached outlives the caller.
+    """
+
+    def __init__(self, name: str):
+        self._calls, self._results = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        while (call := self._calls.get()) is not None:
+            try:
+                self._results.put((call(), None))
+            except BaseException as e:  # handed to the caller, which raises it
+                self._results.put((None, e))
+
+    def submit(self, call):
+        self._calls.put(call)
+
+    def result(self):
+        value, error = self._results.get()
+        if error is not None:
+            raise error
+        return value
+
+    def close(self):
+        self._calls.put(None)
+        self._thread.join()
+
+
 def _in_threads(W: int, work) -> None:
-    """Run work(0, stop), ..., work(W - 1, stop), one thread each; W = 1 runs
-    inline, with no thread.
+    """Run work(0, stop), ..., work(W - 1, stop), each on a _Helper of its own; W = 1
+    runs inline, with no thread.
 
     The one thread runner, of the ensembles and the linearized solve.  numpy's
     FFT, matmul, einsum and reductions release the GIL, so the workers overlap.
@@ -281,8 +318,6 @@ def _in_threads(W: int, work) -> None:
     if W == 1:
         work(0, stop)
         return
-    # imported here: concurrent.futures loads logging, about 9 ms of every command's start
-    from concurrent.futures import ThreadPoolExecutor
 
     def run(i):
         try:
@@ -291,11 +326,17 @@ def _in_threads(W: int, work) -> None:
             stop.set()
             raise
 
-    with ThreadPoolExecutor(W) as pool:
-        try:
-            list(pool.map(run, range(W)))
-        finally:
-            stop.set()
+    helpers = []
+    try:
+        for i in range(W):
+            helpers.append(_Helper(f"worker-{i}"))
+            helpers[i].submit(lambda i=i: run(i))
+        for helper in helpers:
+            helper.result()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.close()
 
 
 def _check_memory(grid: Grid, what: str, kernels: int = 0, stacks: float = 0, frames: int = 0):

@@ -17,13 +17,13 @@ against the real kernel stack of _l1_kernel_stack, taken two ways on purpose:
 _march_density solves with it as a direct sum over contiguous views of the
 history, and _l1_convolve (behind l1_apply_fourier and the solve's residual)
 applies it as one zero-padded FFT convolution along time, so the residual is
-an independent check of the march.  Both are diagonal in the frequency and
-run on one thread per usable core (grid._workers, through grid._in_threads),
-with no option: the march gives each thread one block of columns to take
-through every step, and the convolution hands out column blocks, narrowed so
-that all threads together hold one thread's working set.  Each column runs
-the same operations in the same order on any thread, so the bits do not
-depend on the thread count; one usable core runs inline.  scattering_diagnostic
+an independent check of the march; linearized_solve fetches the stack once for
+both.  Both are diagonal in the frequency and run on one thread per usable core
+(grid._workers, through grid._in_threads), with no option: each thread takes one
+block of columns (_column_edges), the march through every step, the convolution
+in pieces narrowed so that all threads together hold one thread's working set.
+Each column runs the same operations in the same order on any thread, so the bits
+do not depend on the thread count; one usable core runs inline.  scattering_diagnostic
 runs on the density of linearized_solve, which holds the one c0 default
 (calibrated, or 0 when f or w vanishes).
 
@@ -64,8 +64,8 @@ scratch kernel.  The bits are those of the allocating forms.  The Picard sweep
 owns its buffers the same way: it holds one trajectory of Y frames and a ring of
 three commutator buffers, and holds no F^* D: each commutator forms it in its own
 buffer and adds Y_k.  Commutator k goes to buffer k % 3; the new frame k goes to
-buffer (k - 1) % 3, which the accumulator has just released, and is swapped with
-the old frame once the old one has been read; a halved window's free flow is
+buffer (k - 1) % 3, which the accumulator has just released, and trades places
+with the old frame once the old one has been read; a halved window's free flow is
 written over the same frames.  The third buffer lets a helper stage form
 commutator k + 1 while the sweep takes frame k (phase, trapezoid step, new frame,
 its deltas and density): the commutators read only the old iterate.  With two
@@ -88,8 +88,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import queue
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -99,6 +97,7 @@ from .grid import (
     Field,
     FourierMultiplier,
     Grid,
+    _Helper,
     _apply_multiplier_stack,
     _check_memory,
     _check_same_grid,
@@ -270,6 +269,14 @@ _PICARD_KERNELS = 7
 # 5.65 at N = 1024, where the free flow's fixed 4 MB chunk is one more stack.  The
 # threaded stages allocate their block buffers before their threads start.
 _MARCH_STACKS = 6
+
+
+# (n_frames, N) complex stacks calibrate_l1_constant holds besides the pair (direct,
+# Fourier) of every probe, which the residual reads after the fit: the probe's input,
+# its two outputs as frames and as stacks, the convolution's input and output and G.
+# tracemalloc peak over the call at 1000 frames on 1, 2 or 4 probes, in stacks: 2 per
+# probe + 7.5 at d=1, N = 32, + 7.0 at d=2, N = 64 and + 6.7 at d=2, N = 256
+_CALIBRATION_STACKS = 8
 
 
 def _dft_half(K: np.ndarray, grid: Grid, transform, leading: bool, out=None) -> np.ndarray:
@@ -687,41 +694,6 @@ def _uniform_times(T: float, dt: float, check=None) -> np.ndarray:
     return dt * np.arange(K + 1)
 
 
-class _Helper:
-    """One helper thread that runs the calls it is given in order; the caller takes
-    their results in the same order.
-
-    A call's exception is raised again, itself, where its result is taken.  close()
-    lets the running call finish, ends the thread and joins it, so nothing the
-    calls reached outlives the caller.
-    """
-
-    def __init__(self):
-        self._calls, self._results = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._run, name="picard-helper", daemon=True)
-        self._thread.start()
-
-    def _run(self):
-        while (call := self._calls.get()) is not None:
-            try:
-                self._results.put((call(), None))
-            except BaseException as e:  # handed to the caller, which raises it
-                self._results.put((None, e))
-
-    def submit(self, call):
-        self._calls.put(call)
-
-    def result(self):
-        value, error = self._results.get()
-        if error is not None:
-            raise error
-        return value
-
-    def close(self):
-        self._calls.put(None)
-        self._thread.join()
-
-
 # Picard solves on fewer grid points run inline: below this, handing each commutator
 # to a helper thread costs more than the overlap saves.  d=1 solves of 101 frames on
 # 2 cores, inline -> threaded: N = 32 0.06 -> 0.14-0.18 s, N = 64 0.10 -> 0.19 s,
@@ -781,7 +753,7 @@ def picard_solve(
     fD = bg.f.symbol.real.reshape(-1) / g.h**g.d  # D = diag(fD), the momentum kernel of gamma_f
     cbufs = [np.empty((N, N), dtype=complex) for _ in range(3)]
     workers = _workers(2) if N >= _PICARD_THREAD_POINTS else 1
-    helper = _Helper() if workers > 1 else None
+    helper = _Helper("picard-helper") if workers > 1 else None
 
     def commutator_call(k):  # forms commutator k from frame k of the iterate, not yet replaced
         Yk, rk, out = Y[k], rho[k], cbufs[k % 3]
@@ -983,7 +955,8 @@ def _l1_kernel_stack(bg: BackgroundState, n_frames: int, dt: float) -> np.ndarra
 def l1_apply_fourier(gtr: Trajectory, bg: BackgroundState, c0: float) -> Trajectory:
     """Frequency-domain L1: diagonal in zeta, causal convolution in time."""
     ghat = np.stack([np.fft.fftn(fr.values) for fr in gtr.frames])
-    out_hat = _l1_convolve(bg, gtr.times, ghat, c0)
+    dt = float(gtr.times[1] - gtr.times[0])
+    out_hat = _l1_convolve(_l1_kernel_stack(bg, len(gtr.times), dt), dt, ghat, c0)
     return Trajectory(gtr.times, [Field(bg.grid, np.fft.ifftn(h)) for h in out_hat])
 
 
@@ -1013,6 +986,8 @@ def calibrate_l1_constant(
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     g = bg.grid
+    _check_memory(g, "calibrate_l1_constant", kernels=_ACCUMULATOR_KERNELS,
+                  stacks=2 * n_probes + _CALIBRATION_STACKS, frames=n_frames)
     times = dt * np.arange(n_frames)
     rng = np.random.default_rng(seed)
     env = bessel_multiplier(g, -3.0)
@@ -1040,7 +1015,7 @@ def calibrate_l1_constant(
         resid_den += float(np.linalg.norm(D) ** 2)
     residual = float(np.sqrt(resid_num / resid_den))
     imag = abs(c0c.imag) / max(abs(c0c), 1e-300)
-    if residual > 1e-6:
+    if not residual <= 1e-6:  # a NaN residual is no fit either
         raise RuntimeError(
             f"L1 calibration residual {residual:.3e} exceeds 1.0e-06; "
             "transform conventions are inconsistent"
@@ -1058,13 +1033,12 @@ class LinearizedRun:
     rho_frames: list
     residual: float
     c0: float
-    workers: int  # threads of the march
+    workers: int  # threads of the march and the convolution
 
 
-# frequency columns per FFT pass of _l1_convolve, shared by all its workers: the
-# pass works through the (time, frequency) array in column blocks of
-# _CONVOLVE_COLUMNS / workers, so the blocks in flight stay below one (frames, N)
-# complex stack on any number of workers
+# frequency columns per FFT pass of _l1_convolve, shared by all its workers: each
+# worker walks its block _CONVOLVE_COLUMNS / workers columns at a time, so the
+# pieces in flight stay below one (frames, N) complex stack on any number of workers
 _CONVOLVE_COLUMNS = 512
 
 
@@ -1073,6 +1047,14 @@ _CONVOLVE_COLUMNS = 512
 # every block in whole vectors: a column in a loop's scalar tail can round
 # differently from one in a vector, and its bits would then depend on the split
 _BLOCK_COLUMNS = 8
+
+
+def _column_edges(N: int) -> list:
+    """Edges of the threaded frequency stages' column blocks: one contiguous block
+    per usable core, its edges on multiples of _BLOCK_COLUMNS."""
+    parts = N // _BLOCK_COLUMNS
+    W = _workers(parts)
+    return [_BLOCK_COLUMNS * (parts * i // W) for i in range(W + 1)]
 
 
 def _smooth_length(n: int) -> int:
@@ -1087,9 +1069,9 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarray,
-                   c0: float) -> np.ndarray:
-    """Causal solve of (1 + L1) rho = source in frequency; returns rho_hat.
+def _march_density(G: np.ndarray, dt: float, source_hat: np.ndarray, c0: float) -> np.ndarray:
+    """Causal solve of (1 + L1) rho = source in frequency against the kernel stack G
+    of _l1_kernel_stack at step dt; returns rho_hat.
 
     A direct trapezoid sum, rho_hat[k] = source_hat[k] - c0 sum_{j<k} w_j
     G[k-j] rho_hat[j] with w_0 = dt/2 and w_j = dt; the j = k endpoint drops
@@ -1099,19 +1081,16 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
     Gr[K-1-k:K-1], and the weighted history w_j rho_hat[j] is kept alongside
     rho_hat.  Each step is then one contraction with no copy of the history.
 
-    Every frequency column is its own march.  The columns are split into one
-    contiguous block per usable core, and each worker takes its block through
-    all K steps with no hand-off between steps, so a column runs the same
-    operations whichever worker takes it.  A worker stops once its columns
-    alone pass the divergence bound; the frames are then checked in order, as
-    a single march checks them, so the error names the same step.
+    Every frequency column is its own march.  Each worker takes one contiguous
+    block of columns (_column_edges) through all K steps with no hand-off
+    between steps, so a column runs the same operations whichever worker takes
+    it.  A worker stops once its columns alone pass the divergence bound; the
+    frames are then checked in order, as a single march checks them, so the
+    error names the same step.
     """
     if not math.isfinite(c0):
         raise ValueError(f"c0 must be finite, got {c0}")
-    K = len(times)
-    dt = float(times[1] - times[0])
-    G = _l1_kernel_stack(bg, K, dt)
-    N = G[0].size
+    K, N = len(G), G[0].size
     Gr = np.repeat(G[::-1].reshape(K, N), 2, axis=1)
     src = source_hat.reshape(K, N)
     rho_hat = np.empty_like(source_hat)
@@ -1122,10 +1101,8 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
     np.multiply(flat[0], dt / 2, out=xw[0])
     acc = np.empty(2 * N)
     src_scale = float(np.linalg.norm(source_hat))
-    parts = N // _BLOCK_COLUMNS
-    W = _workers(parts)
-    edges = [_BLOCK_COLUMNS * (parts * i // W) for i in range(W + 1)]
-    passed = [K] * W  # the first step at which worker i's columns alone pass the bound
+    edges = _column_edges(N)
+    passed = [K] * (len(edges) - 1)  # the first step at which worker i's columns pass
 
     def work(i, halt):  # columns edges[i]:edges[i + 1], through every step
         c = slice(edges[i], edges[i + 1])
@@ -1139,7 +1116,7 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
             if src_scale > 0 and np.linalg.norm(rho[k, c]) > 1e6 * src_scale:
                 passed[i] = k
 
-    _in_threads(W, work)
+    _in_threads(len(passed), work)
     if src_scale > 0:
         # every column is marched at least to step min(passed), by which the whole
         # frame has passed the bound if any block has
@@ -1152,52 +1129,46 @@ def _march_density(bg: BackgroundState, times: np.ndarray, source_hat: np.ndarra
     return rho_hat
 
 
-def _l1_convolve(bg: BackgroundState, times: np.ndarray, rho_hat: np.ndarray,
-                 c0: float) -> np.ndarray:
-    """c0 L1 applied frame by frame in frequency to rho_hat, shape (K,) + grid.shape.
+def _l1_convolve(G: np.ndarray, dt: float, rho_hat: np.ndarray, c0: float) -> np.ndarray:
+    """c0 L1 applied frame by frame in frequency to rho_hat, shape (K,) + grid.shape,
+    with the kernel stack G of _l1_kernel_stack at step dt.
 
     The same trapezoid sum as _march_density, taken by another algorithm so
     that the residual of a march is an independent check: with the input
     fully known, the causal sum is one zero-padded linear convolution along
     time.  G is real, so the real and imaginary parts of the weighted input
-    are convolved with real transforms, padded to a 5-smooth length >= 2K - 1
-    and taken over column blocks, which the usable cores take in turn.
+    are convolved with real transforms, padded to a 5-smooth length >= 2K - 1.
+    Each worker takes one block of columns (_column_edges), width at a time.
     """
-    K = len(times)
-    dt = float(times[1] - times[0])
-    G = _l1_kernel_stack(bg, K, dt).reshape(K, -1)
-    N = G.shape[1]
+    G = G.reshape(len(G), -1)
+    K, N = G.shape
     L = _smooth_length(2 * K - 1)
     w = np.full((K, 1), dt)
     w[0] = dt / 2
     x = rho_hat.reshape(K, N)
     out = np.empty_like(rho_hat)
     res = out.reshape(K, N)
-    width = max(1, _CONVOLVE_COLUMNS // _workers(N) // _BLOCK_COLUMNS) * _BLOCK_COLUMNS
-    W = _workers(-(-N // width))
-    # each worker's block buffers, allocated here: what a worker thread allocates
-    # stays resident in its own malloc arena after the pass
+    edges = _column_edges(N)
+    W = len(edges) - 1
+    width = min(max(1, _CONVOLVE_COLUMNS // W // _BLOCK_COLUMNS) * _BLOCK_COLUMNS,
+                max(np.diff(edges)))
+    # each worker's buffers, one piece wide and no wider than the widest block, made
+    # here: what a worker thread allocates stays resident in its own malloc arena
     H = L // 2 + 1
     bufs = [(np.empty((H, width), complex), np.empty((H, width), complex),
              np.empty((K, width), complex), np.empty((L, width))) for _ in range(W)]
-    # A complex product's last bit depends on its operand order.  The allocating
-    # form Gf * rfft(...) over blocks of min(N, _CONVOLVE_COLUMNS) columns is taken
-    # by numpy in the rfft's temporary, as rfft(...) * Gf, once that temporary holds
-    # 256 KiB (temporary elision); the same order keeps the residual and the
-    # calibrated c0 to their bits on any block width.
-    swapped = H * min(N, _CONVOLVE_COLUMNS) * np.dtype(complex).itemsize >= 256 * 1024
 
-    def work(i, halt):  # column blocks i, i + W, ...
-        for a in range(i * width, N, W * width):
+    def work(i, halt):  # columns edges[i]:edges[i + 1], width at a time
+        for a in range(edges[i], edges[i + 1], width):
             if halt.is_set():
                 return
-            cols = slice(a, a + width)
-            Gf, X, xc, y = (buf[:, :min(width, N - a)] for buf in bufs[i])
+            cols = slice(a, min(a + width, edges[i + 1]))
+            Gf, X, xc, y = (buf[:, :cols.stop - a] for buf in bufs[i])
             np.fft.rfft(G[:, cols], n=L, axis=0, out=Gf)
             np.multiply(w, x[:, cols], out=xc)
             for part, into in ((xc.real, res.real), (xc.imag, res.imag)):
                 np.fft.rfft(part, n=L, axis=0, out=X)
-                np.multiply(*((X, Gf) if swapped else (Gf, X)), out=X)
+                np.multiply(Gf, X, out=X)
                 np.fft.irfft(X, n=L, axis=0, out=y)
                 into[:, cols] = y[:K]
             res[:, cols] *= c0
@@ -1229,15 +1200,16 @@ def linearized_solve(
         c0 = 0.0 if vanishes else calibrate_l1_constant(bg).c0
     source_hat = np.stack([np.fft.fftn(np.real(fr.values))
                            for fr in density_trajectory(Q0, times).frames])
-    rho_hat = _march_density(bg, times, source_hat, c0)
-    resid = _l1_convolve(bg, times, rho_hat, c0)
+    G = _l1_kernel_stack(bg, len(times), dt)  # one stack for the march and its check
+    rho_hat = _march_density(G, dt, source_hat, c0)
+    resid = _l1_convolve(G, dt, rho_hat, c0)
     resid += rho_hat
     resid -= source_hat
     src_scale = float(np.linalg.norm(source_hat))
     residual = float(np.linalg.norm(resid) / src_scale) if src_scale > 0 else 0.0
     rho_frames = [Field(g, np.real(np.fft.ifftn(rho_hat[k]))) for k in range(len(times))]
     return LinearizedRun(times=times, rho_frames=rho_frames, residual=residual, c0=float(c0),
-                         workers=_workers(g.npoints // _BLOCK_COLUMNS))
+                         workers=len(_column_edges(g.npoints)) - 1)
 
 
 @dataclass
@@ -1349,7 +1321,9 @@ def randomized_lwp_pipeline(
 
     g = bg.grid
     records = []
-    probe_times = _uniform_times(T, dt)
+    # Picard's rule, before the probe times and any draw's densities are formed
+    probe_times = _uniform_times(T, dt, lambda frames: _check_memory(
+        g, "randomized_lwp_pipeline", kernels=frames + _PICARD_KERNELS))
     for m in range(n_draws):
         Qw = sobolev_conjugated_randomize(
             Q0, sigma, which=which, family_g=family_g, family_ell=family_ell,

@@ -258,7 +258,7 @@ def singular_moment_experiment(
     k = 0
     for left, right in _free_frames(B, times):
         # np.multiply, not *: numpy would elide a large conj temporary by multiplying
-        # into it with the operands swapped, which moves the last bit
+        # into it in the other operand order, which moves the last bit
         e = np.multiply(left, np.conj(right))
         if sigma != 0:
             e = _apply_multiplier_stack(bessel_multiplier(grid, sigma),

@@ -121,6 +121,17 @@ def _check_finite_rows(path, header: list, rows: list):
                 raise RuntimeError(f"{path}: column {name!r} of row {i} is {value!r}, not finite")
 
 
+def _write_csv(path, header: list, rows: list):
+    """The one CSV writer: a header, then rows with each float written as its repr."""
+    _check_finite_rows(path, header, rows)  # a non-finite number fails the run (exit 2)
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for row in rows:
+            wr.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
+                         for x in row])
+
+
 # resamples of every bootstrap: moment standard errors and slope intervals
 _BOOTSTRAP_DRAWS = 200
 
@@ -179,11 +190,6 @@ class MomentTable:
         return bool(np.all(v[1:] >= v[:-1] - slack * (e[1:] + e[:-1])))
 
     def to_csv(self, path):
-        header = ["r", "value", "stderr", "M", "seed"]
-        rows = [[repr(float(r)), repr(float(v)), repr(float(e)), self.n_samples, self.seed]
-                for r, v, e in zip(self.orders, self.values, self.stderrs)]
-        _check_finite_rows(path, header, rows)
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(header)
-            wr.writerows(rows)
+        _write_csv(path, ["r", "value", "stderr", "M", "seed"],
+                   [[r, v, e, self.n_samples, self.seed]
+                    for r, v, e in zip(self.orders, self.values, self.stderrs)])

@@ -209,6 +209,45 @@ def test_linearized_and_scatter_records_name_their_workers(tmp_path, monkeypatch
     assert got[2] == got[1] and got[3] == got[1]
 
 
+_COUNT_THREADS = """\
+import json, sys, threading
+from hartreelab import cli, grid
+
+started = []
+
+
+class Recorded(threading.Thread):
+    def start(self):
+        started.append(self.name)
+        super().start()
+
+
+threading.Thread = Recorded
+grid._usable_cores = lambda: 2  # two usable cores, on any host
+threads = []
+for argv in sys.argv[1:]:
+    assert cli.run(json.loads(argv)) == 0, argv
+    threads.append(len(started))
+    del started[:]
+print(json.dumps({"threads": threads, "pool": "concurrent.futures" in sys.modules}))
+"""
+
+
+def test_two_workers_run_on_the_package_threads_alone(tmp_path):
+    # the ensembles and the linearized stages start their workers with no thread pool
+    full = _write(tmp_path / "full.config", _ENSEMBLE_CONFIGS["full"])
+    lin = _write(tmp_path / "lin.config", HARTREE_CONFIG.format(n=16, t=0.5, dt=1 / 32)
+                 + "\n[background]\nf_scale = 0.1\n")
+    argv = [["strichartz", "full", "--config", full, "--out", str(tmp_path / "full")],
+            ["hartree", "linearized", "--config", lin, "--out", str(tmp_path / "lin")]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", _COUNT_THREADS, *map(json.dumps, argv)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout.splitlines()[-1])
+    assert all(n >= 2 for n in got["threads"]) and got["pool"] is False
+
+
 def test_hartree_picard_matches_golden_at_tolerance(tmp_path):
     out = tmp_path / "picard"
     assert run(["hartree", "solve", "--config", str(DATA / "reference_d1_picard.config"),
@@ -274,6 +313,18 @@ def test_hartree_linearized_and_calibrate(tmp_path):
     rec2 = json.loads((out2 / "record.json").read_text())
     assert rec2["c0"] == pytest.approx(2.0, abs=1e-9)
     assert rec2["residual"] <= 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the probes overflow on purpose
+@pytest.mark.parametrize("command", ["calibrate-l1", "hartree linearized", "hartree scatter"])
+@pytest.mark.parametrize("key", ["f_scale", "w_scale"])
+def test_a_nan_calibration_exits_two_by_its_residual(tmp_path, capsys, command, key):
+    # at 1e308 the fit's residual is NaN, which is no fit: the run names the residual
+    cfg = _write(tmp_path / "nan.config", HARTREE_CONFIG.format(n=16, t=0.8, dt=0.1)
+                 + f"\n[background]\n{key} = 1e308\n")
+    assert run([*command.split(), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: L1 calibration residual nan exceeds 1.0e-06")
 
 
 def test_report_recomputes_slopes_consistently(tmp_path):

@@ -704,7 +704,7 @@ def test_march_matches_the_trapezoid_recursion(d, K, dt, c0, seed):
     ref = np.empty_like(src)
     for k in range(K):
         ref[k] = src[k] - c0 * _naive_lag_sum(G, ref, k, dt)
-    got = hartree._march_density(bg, dt * np.arange(K), src, c0)
+    got = hartree._march_density(G, dt, src, c0)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -715,19 +715,19 @@ def test_l1_convolve_matches_the_causal_sum(d, K, dt, c0, seed):
     x = _frequency_input(bg, K, seed)
     G = hartree._l1_kernel_stack(bg, K, dt)
     ref = np.stack([c0 * _naive_lag_sum(G, x, k, dt) for k in range(K)])
-    got = hartree._l1_convolve(bg, dt * np.arange(K), x, c0)
+    got = hartree._l1_convolve(G, dt, x, c0)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_march_rejects_a_bad_c0_and_reports_divergence():
     bg = _MARCH_BACKGROUNDS[1]
-    times = 0.05 * np.arange(5)
+    G = hartree._l1_kernel_stack(bg, 5, 0.05)
     src = _frequency_input(bg, 5, 0)
     for c0 in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="c0 must be finite"):
-            hartree._march_density(bg, times, src, c0)
+            hartree._march_density(G, 0.05, src, c0)
     with pytest.raises(RuntimeError, match="linearized marching diverged"):
-        hartree._march_density(bg, times, src, 1e12)
+        hartree._march_density(G, 0.05, src, 1e12)
 
 
 def test_l1_convolve_holds_less_than_two_stacks():
@@ -735,10 +735,10 @@ def test_l1_convolve_holds_less_than_two_stacks():
     bg = make_background(g, "gaussian", "delta", f_scale=0.1)
     K, dt = 257, 1 / 16
     x = _frequency_input(bg, K, 0)
-    hartree._l1_kernel_stack(bg, K, dt)  # the memo's stack, built once per (grid, K, dt)
+    G = hartree._l1_kernel_stack(bg, K, dt)  # the memo's stack, built once per (grid, K, dt)
     tracemalloc.start()
     try:
-        hartree._l1_convolve(bg, dt * np.arange(K), x, 2.0)
+        hartree._l1_convolve(G, dt, x, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -757,8 +757,9 @@ def _allocating_convolve(bg, K, dt, x, c0):
         cols = slice(i, i + 512)
         Gf = np.fft.rfft(G[:, cols], n=L, axis=0)
         xc = w * x[:, cols]
-        res.real[:, cols] = np.fft.irfft(Gf * np.fft.rfft(xc.real, n=L, axis=0), n=L, axis=0)[:K]
-        res.imag[:, cols] = np.fft.irfft(Gf * np.fft.rfft(xc.imag, n=L, axis=0), n=L, axis=0)[:K]
+        for part, into in ((xc.real, res.real), (xc.imag, res.imag)):
+            X = np.multiply(Gf, np.fft.rfft(part, n=L, axis=0))
+            into[:, cols] = np.fft.irfft(X, n=L, axis=0)[:K]
     res *= c0
     res[0] = 0.0
     return res.reshape(x.shape[:1] + bg.grid.shape)
@@ -770,9 +771,7 @@ def _on_workers(monkeypatch, W):
 
 
 # (d, n, L, K): N = 16, 64 and 512 columns, 2, 8 and 64 blocks of 8, none a
-# multiple of 3 workers.  At d = 3 the convolution's 512-column blocks hold 37 x 512
-# complex transform values (296 KiB), at d = 1 and d = 2 far less, so its products
-# take both operand orders.
+# multiple of 3 workers.
 _SPLIT_CASES = {1: (16, 16.0, 21), 2: (8, 16.0, 17), 3: (8, 12.0, 33)}
 
 
@@ -785,7 +784,7 @@ def test_linearized_stages_are_the_same_bits_on_any_number_of_workers(d, monkeyp
     bg = make_background(g, "gaussian", "delta", f_scale=0.1)
     Q0 = localized_low_rank(g, 3, np.random.default_rng(d), width=1.0)
     dt = 0.05
-    times = dt * np.arange(K)
+    G = hartree._l1_kernel_stack(bg, K, dt)
     src = _frequency_input(bg, K, d)
     runs = {}
     interval = sys.getswitchinterval()
@@ -795,8 +794,8 @@ def test_linearized_stages_are_the_same_bits_on_any_number_of_workers(d, monkeyp
             _on_workers(monkeypatch, W)
             run = linearized_solve(Q0, bg, (K - 1) * dt, dt, c0=2.0)
             runs[W] = (run.workers, _bits(f.values for f in run.rho_frames), run.residual,
-                       _bits([hartree._march_density(bg, times, src, 2.0)]),
-                       _bits([hartree._l1_convolve(bg, times, src, 2.0)]))
+                       _bits([hartree._march_density(G, dt, src, 2.0)]),
+                       _bits([hartree._l1_convolve(G, dt, src, 2.0)]))
     finally:
         sys.setswitchinterval(interval)
     assert [runs[W][0] for W in (1, 2, 3)] == [1, 2, 3 if d > 1 else 2]
@@ -810,7 +809,7 @@ def test_a_diverging_march_names_the_same_step_on_any_number_of_workers(monkeypa
     # at step 4, and each of two workers' columns alone only at step 5
     bg = _MARCH_BACKGROUNDS[2]
     K = 40
-    times = 0.05 * np.arange(K)
+    G = hartree._l1_kernel_stack(bg, K, 0.05)
     src = _frequency_input(bg, K, 0)
     for c0 in (1e12, 2.9e6):
         said = []
@@ -818,7 +817,7 @@ def test_a_diverging_march_names_the_same_step_on_any_number_of_workers(monkeypa
             _on_workers(monkeypatch, W)
             with pytest.raises(RuntimeError, match="linearized marching diverged: growth "
                                                    r"factor \S+ \(response not invertible\)") as e:
-                hartree._march_density(bg, times, src, c0)
+                hartree._march_density(G, 0.05, src, c0)
             said.append(str(e.value))
         assert said[1] == said[0] and said[2] == said[0]
 
@@ -831,13 +830,12 @@ def test_a_worker_error_in_a_linearized_stage_reaches_the_caller(stage, owner, n
                                                                monkeypatch):
     # the fifth call fails on a worker thread: the caller gets that exception itself,
     # the other worker ends its piece and takes no other, and no thread is left
-    g = make_grid(2, 32, 16.0)  # N = 1024: four convolution blocks on two workers
+    g = make_grid(2, 32, 16.0)  # N = 1024: four convolution pieces on two workers
     bg = make_background(g, "gaussian", "delta", f_scale=0.1)
     K, dt = 65, 1 / 16
-    times = dt * np.arange(K)
     src = _frequency_input(bg, K, 0)
     _on_workers(monkeypatch, 2)
-    hartree._l1_kernel_stack(bg, K, dt)
+    G = hartree._l1_kernel_stack(bg, K, dt)
     planted, calls, after, where = _Planted(stage), [], [], []
     original = getattr(owner, name)
 
@@ -853,8 +851,8 @@ def test_a_worker_error_in_a_linearized_stage_reaches_the_caller(stage, owner, n
 
     monkeypatch.setattr(owner, name, failing)
     baseline = threading.active_count()
-    call = {"march": lambda: hartree._march_density(bg, times, src, 2.0),
-            "convolve": lambda: hartree._l1_convolve(bg, times, src, 2.0)}[stage]
+    call = {"march": lambda: hartree._march_density(G, dt, src, 2.0),
+            "convolve": lambda: hartree._l1_convolve(G, dt, src, 2.0)}[stage]
     with pytest.raises(_Planted) as raised:
         call()
     assert raised.value is planted and where[0] is not threading.main_thread()
@@ -903,6 +901,32 @@ def test_dense_paths_refuse_a_problem_larger_than_memory(monkeypatch):
     with pytest.raises(ValueError, match=r"linearized_solve would hold .* frequency stacks"
                                          r".* of physical memory"):
         linearized_solve(Q0, bg, 0.04, 0.01, c0=2.0)
+
+
+def test_calibration_and_lwp_pipeline_refuse_before_they_allocate(monkeypatch):
+    g = make_grid(1, 32, 16.0)
+    bg = make_background(g, "gaussian", "delta")
+    Q0 = _small_data(g, seed=8)
+    # a host with 256 pages (1 MB) of physical memory: the 7 accumulator kernels of
+    # 32x32 (112 KB) fit, and so does the default calibration inside a scatter run
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    report = scattering_diagnostic(Q0, bg, 0.16, 0.01, alpha_sc=4.0)
+    assert np.all(np.isfinite(report.distances))
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("allocated before the size rule ran")
+
+    monkeypatch.setattr(hartree, "l1_apply_direct", allocated)
+    monkeypatch.setattr(hartree, "density_trajectory", allocated)
+    # 4000 calibration frames hold 16 (4000, 32) stacks (33 MB)
+    with pytest.raises(ValueError, match=r"calibrate_l1_constant would hold .* frequency "
+                                         r"stacks.* of physical memory"):
+        calibrate_l1_constant(bg, n_frames=4000)
+    # 101 frames take 108 dense kernels (1.8 MB) in the Picard solve of each draw
+    fam = SubgaussianFamily("gaussian", 2718)
+    with pytest.raises(ValueError, match=r"randomized_lwp_pipeline would hold .* dense "
+                                         r".* of physical memory"):
+        randomized_lwp_pipeline(Q0, "singular", bg, "d1", 0.5, fam, 1.0, 0.01, n_draws=1)
 
 
 def test_scattering_trivial_without_background():
