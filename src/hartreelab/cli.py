@@ -8,10 +8,13 @@ hartree      solve / linearized / scatter on a configured background
 calibrate-l1 fit the response-kernel constant and report the residual
 report       aggregate run records into one summary table
 
-Every experiment reads a flat key = value config with sections and writes
-exactly one JSON run record next to its CSV tables; replaying the record's
-command with the same seed reproduces the tables byte for byte.  Exit codes:
-0 success, 1 validation error, 2 numeric failure or out of memory.
+Every experiment (strichartz, hartree, calibrate-l1) runs one flow,
+``_experiment``: it reads a flat key = value config with sections, writes its
+CSV tables into --out and then exactly one JSON run record, record.json, and
+ends with the line ``wrote <table>, ..., <record>``.  Replaying the record's
+command with the same seed reproduces the tables byte for byte.  ``report``
+reads each output next to its record.  Exit codes: 0 success, 1 validation
+error or an output that cannot be written, 2 numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import configparser
 import csv
 import ctypes
+import functools
 import json
 import math
 import os
@@ -238,7 +242,7 @@ def _env_fingerprint() -> dict:
 
 
 def _write_record(out_dir: str, command: str, config: dict, seed, outputs: list,
-                  status: str, t0: float, extra: dict | None = None) -> str:
+                  t0: float, extra: dict) -> str:
     rec = {
         "command": command,
         "config": config,
@@ -247,10 +251,8 @@ def _write_record(out_dir: str, command: str, config: dict, seed, outputs: list,
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 6),
         "outputs": outputs,
-        "status": status,
-    }
-    if extra:
-        rec.update(extra)
+        "status": "ok",
+    } | extra
     # Strict JSON, serialised before the file is opened: a NaN that got past validation
     # fails the run (exit 1) and leaves no half-written record.
     text = json.dumps(rec, indent=2, sort_keys=True, allow_nan=False)
@@ -260,11 +262,11 @@ def _write_record(out_dir: str, command: str, config: dict, seed, outputs: list,
     return path
 
 
-def _provenance(grid, dt, T, seed) -> list:
-    return [f"d{grid.d}n{grid.n}L{grid.L:g}", repr(float(dt)), repr(float(T)), seed]
-
-
-_PROV_HEADER = ["grid", "dt", "T", "seed"]
+def _table(header: list, rows: list, grid, dt, T, seed):
+    """write(path) of one hartree table; every row ends with the run's provenance."""
+    prov = [f"d{grid.d}n{grid.n}L{grid.L:g}", repr(float(dt)), repr(float(T)), seed]
+    return lambda path: _write_csv(path, header + ["grid", "dt", "T", "seed"],
+                                   [row + prov for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -315,80 +317,68 @@ def _cmd_check(args) -> int:
         full_estimate_check(args.p, args.q, args.q_hat, args.r, args.d)
         print("full-randomization exponents admissible")
         return EXIT_OK
-    if args.what == "sobolev":
-        rep = sobolev_admissible(args.p, args.q, args.alpha, args.s, args.d)
-        print(f"scaling_ok={rep.scaling_ok} trace_condition_ok={rep.trace_condition_ok} "
-              f"strict_alpha_ok={rep.strict_alpha_ok} admissible={rep.admissible}")
-        return EXIT_OK
-    raise ValidationError(f"unknown check {args.what!r}")
-
-
-def _cmd_strichartz(args) -> int:
-    t0 = time.time()
-    cp = _load_config(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    grid = _grid_from_config(cp)
-    d, n, L = grid.d, grid.n, grid.L
-    M = _get(cp, "experiment", "m", int, required=True)
-    orders = _get(cp, "experiment", "orders", _orders, required=True)
-    T = _get(cp, "experiment", "t", float, default=0.5)
-    n_frames = _get(cp, "experiment", "n_frames", int, default=17)
-    p = _get(cp, "experiment", "p", _float_or_inf, required=True)
-    q = _get(cp, "experiment", "q", _float_or_inf, required=True)
-
-    if args.kind == "singular":
-        family = _family_from_config(cp, "randomization")
-        table = singular_moment_experiment(
-            d=d, n=n, L=L,
-            rank=_get(cp, "experiment", "rank", int, required=True),
-            sigma=_get(cp, "experiment", "sigma", float, default=0.0),
-            p=p, q=q, family=family, M=M, orders=orders, T=T, n_frames=n_frames,
-            op_seed=_get(cp, "experiment", "op_seed", int, default=2024),
-        )
-        seed = family.seed
-    elif args.kind == "full":
-        family_g = _family_from_config(cp, "randomization_g")
-        family_ell = _family_from_config(cp, "randomization_ell")
-        table = full_moment_experiment(
-            d=d, n=n, L=L,
-            rank=_get(cp, "experiment", "rank", int, required=True),
-            p=p, q=q, q_hat=_get(cp, "experiment", "q_hat", _float_or_inf, required=True),
-            family_g=family_g, family_ell=family_ell, M=M, orders=orders,
-            T=T, n_frames=n_frames,
-            op_seed=_get(cp, "experiment", "op_seed", int, default=2024),
-        )
-        seed = family_g.seed
-    elif args.kind == "function":
-        family = _family_from_config(cp, "randomization")
-        table = function_moment_experiment(
-            d=d, n=n, L=L, p=p, q=q,
-            q_hat=_get(cp, "experiment", "q_hat", _float_or_inf, required=True),
-            family=family, M=M, orders=orders, T=T, n_frames=n_frames,
-        )
-        seed = family.seed
-    else:
-        raise ValidationError(f"unknown strichartz kind {args.kind!r}")
-
-    fit = fit_moment_slope(table)
-    csv_path = os.path.join(out_dir, "moments.csv")
-    table.to_csv(csv_path)
-    rec_path = _write_record(
-        out_dir, f"strichartz {args.kind}", _cfg_dict(cp), seed, [csv_path],
-        "ok", t0,
-        extra={"slope": fit.slope, "slope_ci": [fit.ci_low, fit.ci_high],
-               "meta": table.meta},
-    )
-    print(f"slope = {fit.slope:.4f}  95% CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}]")
-    print(f"wrote {csv_path} and {rec_path}")
+    rep = sobolev_admissible(args.p, args.q, args.alpha, args.s, args.d)
+    print(f"scaling_ok={rep.scaling_ok} trace_condition_ok={rep.trace_condition_ok} "
+          f"strict_alpha_ok={rep.strict_alpha_ok} admissible={rep.admissible}")
     return EXIT_OK
 
 
-def _cmd_hartree(args) -> int:
+def _experiment(args, body) -> int:
+    """The one flow of every experiment command: a config in, CSV tables and one record out.
+
+    ``body(cp, args)`` reads its keys and calls the library.  It returns the
+    command name, the master seed, its tables as ``(file name, write)`` pairs
+    (``write(path)`` writes one table), the record's own fields and the summary
+    line.  The tables are written in order into ``--out``, then the record.
+    """
     t0 = time.time()
     cp = _load_config(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
+    command, seed, tables, extra, summary = body(cp, args)
+    outputs = []
+    for name, write in tables:
+        outputs.append(os.path.join(args.out, name))
+        write(outputs[-1])
+    rec = _write_record(args.out, command, _cfg_dict(cp), seed, outputs, t0, extra)
+    print(summary)
+    print(f"wrote {', '.join(outputs + [rec])}")
+    return EXIT_OK
+
+
+def _strichartz(cp, args):
+    grid = _grid_from_config(cp)
+    common = dict(d=grid.d, n=grid.n, L=grid.L,
+                  M=_get(cp, "experiment", "m", int, required=True),
+                  orders=_get(cp, "experiment", "orders", _orders, required=True),
+                  T=_get(cp, "experiment", "t", float, default=0.5),
+                  n_frames=_get(cp, "experiment", "n_frames", int, default=17),
+                  p=_get(cp, "experiment", "p", _float_or_inf, required=True),
+                  q=_get(cp, "experiment", "q", _float_or_inf, required=True))
+    if args.kind == "singular":
+        family = _family_from_config(cp, "randomization")
+        table = singular_moment_experiment(
+            rank=_get(cp, "experiment", "rank", int, required=True),
+            sigma=_get(cp, "experiment", "sigma", float, default=0.0), family=family,
+            op_seed=_get(cp, "experiment", "op_seed", int, default=2024), **common)
+    elif args.kind == "full":
+        family = _family_from_config(cp, "randomization_g")
+        table = full_moment_experiment(
+            family_g=family, family_ell=_family_from_config(cp, "randomization_ell"),
+            rank=_get(cp, "experiment", "rank", int, required=True),
+            q_hat=_get(cp, "experiment", "q_hat", _float_or_inf, required=True),
+            op_seed=_get(cp, "experiment", "op_seed", int, default=2024), **common)
+    else:
+        family = _family_from_config(cp, "randomization")
+        table = function_moment_experiment(
+            q_hat=_get(cp, "experiment", "q_hat", _float_or_inf, required=True),
+            family=family, **common)
+    fit = fit_moment_slope(table)
+    return (f"strichartz {args.kind}", family.seed, [("moments.csv", table.to_csv)],
+            {"slope": fit.slope, "slope_ci": [fit.ci_low, fit.ci_high], "meta": table.meta},
+            f"slope = {fit.slope:.4f}  95% CI [{fit.ci_low:.4f}, {fit.ci_high:.4f}]")
+
+
+def _hartree(cp, args):
     bg = _background_from_config(cp)
     grid = bg.grid
     Q0 = _initial_operator(cp, grid)
@@ -402,86 +392,53 @@ def _cmd_hartree(args) -> int:
         use_oracle = _get(cp, "run", "oracle", str, default="no") == "yes"
         run = (dense_rk4_oracle(Q0, bg, T, dt) if use_oracle
                else picard_solve(Q0, bg, T, dt, tol=tol, scheme=scheme))
-        traj_path = os.path.join(out_dir, "trajectory.csv")
-        g = run.grid
+        prov = (run.grid, run.dt, run.T, seed)
         rows = [[repr(float(t)), repr(float(s2)), repr(float(lebesgue_norm(r, 2)))]
-                + _provenance(g, run.dt, run.T, seed)
                 for t, s2, r in zip(run.times, run.s2_norms(), run.rho_frames)]
-        _write_csv(traj_path, ["t", "q_s2", "rho_l2"] + _PROV_HEADER, rows)
-        outputs = [traj_path]
+        tables = [("trajectory.csv", _table(["t", "q_s2", "rho_l2"], rows, *prov))]
         extra = {"achieved_T": run.T, "scheme": run.scheme, "meta": run.meta}
         if use_oracle:
             # the oracle integrates directly: no sweeps, no ball radius, no data norm
             summary = f"with the {run.meta['integrator']} integrator"
         else:
-            contr_path = os.path.join(out_dir, "contraction.csv")
-            _write_csv(contr_path, ["sweep", "delta"] + _PROV_HEADER,
-                       [[i, repr(float(dlt))] + _provenance(g, run.dt, run.T, seed)
-                        for i, dlt in enumerate(run.contraction_history)])
-            outputs.append(contr_path)
+            rows = [[i, repr(float(dlt))] for i, dlt in enumerate(run.contraction_history)]
+            tables.append(("contraction.csv", _table(["sweep", "delta"], rows, *prov)))
             extra.update(R=run.R, data_norm=run.data_norm)
             summary = f"after {len(run.contraction_history)} sweeps"
-        rec = _write_record(out_dir, "hartree solve", _cfg_dict(cp), seed, outputs, "ok", t0,
-                            extra=extra)
-        print(f"achieved T = {run.T:g} {summary}")
-        print(f"wrote {', '.join(outputs + [rec])}")
-        return EXIT_OK
+        return "hartree solve", seed, tables, extra, f"achieved T = {run.T:g} {summary}"
 
+    c0 = _get(cp, "run", "c0", float, default=None)
     if args.action == "linearized":
-        c0 = _get(cp, "run", "c0", float, default=None)
         lin = linearized_solve(Q0, bg, T, dt, c0=c0)
-        traj_path = os.path.join(out_dir, "density.csv")
         rows = [[repr(float(t)), repr(float(lebesgue_norm(r, 2)))]
-                + _provenance(grid, dt, T, seed)
                 for t, r in zip(lin.times, lin.rho_frames)]
-        _write_csv(traj_path, ["t", "rho_l2"] + _PROV_HEADER, rows)
-        rec = _write_record(out_dir, "hartree linearized", _cfg_dict(cp), seed,
-                            [traj_path], "ok", t0,
-                            extra={"residual": lin.residual, "c0": lin.c0,
-                                   "meta": {"workers": lin.workers}})
-        print(f"residual = {lin.residual:.3e}, c0 = {lin.c0:.12g}")
-        print(f"wrote {traj_path} and {rec}")
-        return EXIT_OK
+        return ("hartree linearized", seed,
+                [("density.csv", _table(["t", "rho_l2"], rows, grid, dt, T, seed))],
+                {"residual": lin.residual, "c0": lin.c0, "meta": {"workers": lin.workers}},
+                f"residual = {lin.residual:.3e}, c0 = {lin.c0:.12g}")
 
-    if args.action == "scatter":
-        c0 = _get(cp, "run", "c0", float, default=None)
-        n_rungs = _get(cp, "run", "n_rungs", int, default=4)
-        rep = scattering_diagnostic(Q0, bg, T, dt, c0=c0, n_rungs=n_rungs)
-        ladder_path = os.path.join(out_dir, "ladder.csv")
-        rows = [[repr(float(t)), repr(float(dist))] + _provenance(grid, dt, T, seed)
-                for t, dist in zip(rep.checkpoint_times[1:], rep.distances)]
-        _write_csv(ladder_path, ["t", "distance"] + _PROV_HEADER, rows)
-        rec = _write_record(out_dir, "hartree scatter", _cfg_dict(cp), seed,
-                            [ladder_path], "ok", t0,
-                            extra={"alpha": rep.alpha, "verdict": rep.verdict,
-                                   "cauchy_consistent": rep.cauchy_consistent,
-                                   "meta": {"workers": rep.workers}})
-        print(f"{rep.verdict}; distances: {[float(x) for x in rep.distances]}")
-        print(f"wrote {ladder_path} and {rec}")
-        return EXIT_OK
-
-    raise ValidationError(f"unknown hartree action {args.action!r}")
+    # scatter
+    rep = scattering_diagnostic(Q0, bg, T, dt, c0=c0,
+                                n_rungs=_get(cp, "run", "n_rungs", int, default=4))
+    rows = [[repr(float(t)), repr(float(dist))]
+            for t, dist in zip(rep.checkpoint_times[1:], rep.distances)]
+    return ("hartree scatter", seed,
+            [("ladder.csv", _table(["t", "distance"], rows, grid, dt, T, seed))],
+            {"alpha": rep.alpha, "verdict": rep.verdict,
+             "cauchy_consistent": rep.cauchy_consistent, "meta": {"workers": rep.workers}},
+            f"{rep.verdict}; distances: {[float(x) for x in rep.distances]}")
 
 
-def _cmd_calibrate(args) -> int:
-    t0 = time.time()
-    cp = _load_config(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+def _calibrate(cp, args):
     bg = _background_from_config(cp)
-    cal = calibrate_l1_constant(
-        bg,
-        n_frames=_get(cp, "run", "n_frames", int, default=9),
-        dt=_get(cp, "run", "dt", float, default=0.05),
-        n_probes=_get(cp, "run", "n_probes", int, default=4),
-        seed=_get(cp, "run", "seed", int, default=3),
-    )
-    rec = _write_record(out_dir, "calibrate-l1", _cfg_dict(cp),
-                        _get(cp, "run", "seed", int, default=3), [], "ok", t0,
-                        extra={"c0": cal.c0, "residual": cal.residual, "imag": cal.imag})
-    print(f"c0 = {cal.c0:.12g}  residual = {cal.residual:.3e}  imag = {cal.imag:.3e}")
-    print(f"wrote {rec}")
-    return EXIT_OK
+    keys = dict(n_frames=_get(cp, "run", "n_frames", int, default=9),
+                dt=_get(cp, "run", "dt", float, default=0.05),
+                n_probes=_get(cp, "run", "n_probes", int, default=4),
+                seed=_get(cp, "run", "seed", int, default=3))
+    cal = calibrate_l1_constant(bg, **keys)
+    return ("calibrate-l1", keys["seed"], [],
+            {"c0": cal.c0, "residual": cal.residual, "imag": cal.imag},
+            f"c0 = {cal.c0:.12g}  residual = {cal.residual:.3e}  imag = {cal.imag:.3e}")
 
 
 def _cmd_report(args) -> int:
@@ -497,12 +454,17 @@ def _cmd_report(args) -> int:
                "wall_time_s": rec.get("wall_time_s", "")}
         if cmd.startswith("strichartz"):
             row["slope"] = rec.get("slope", "")
-            # recompute from the raw table for consistency
+            # recompute from the raw table for consistency; a record names its outputs
+            # from the writer's directory, and they sit next to it
             for out in rec.get("outputs", []):
                 if out.endswith("moments.csv"):
-                    with open(out) as fh:
-                        table = [(float(r["r"]), float(r["value"])) for r in csv.DictReader(fh)]
-                    row["slope_recomputed"] = _loglog_slope(*zip(*table))[0]
+                    table = os.path.join(os.path.dirname(path), os.path.basename(out))
+                    try:
+                        with open(table) as fh:
+                            pts = [(float(r["r"]), float(r["value"])) for r in csv.DictReader(fh)]
+                    except (OSError, KeyError, ValueError) as e:
+                        raise ValidationError(f"unreadable output {table}: {e!r}") from e
+                    row["slope_recomputed"] = _loglog_slope(*zip(*pts))[0]
         elif cmd.startswith("hartree solve"):
             row["achieved_T"] = rec.get("achieved_T", "")
             row["R"] = rec.get("R", "")
@@ -543,24 +505,22 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--r", type=_exponent, default=None)
     chk.add_argument("--alpha", type=_exponent, default=None)
     chk.add_argument("--s", type=str, default=None)
+    chk.set_defaults(command=_cmd_check)
 
     st = sub.add_parser("strichartz", help="moment-growth Monte Carlo")
     st.add_argument("kind", choices=["singular", "full", "function"])
-    st.add_argument("--config", required=True)
-    st.add_argument("--out", required=True)
-
     ha = sub.add_parser("hartree", help="Hartree solver experiments")
     ha.add_argument("action", choices=["solve", "linearized", "scatter"])
-    ha.add_argument("--config", required=True)
-    ha.add_argument("--out", required=True)
-
     cal = sub.add_parser("calibrate-l1", help="fit the response-kernel constant")
-    cal.add_argument("--config", required=True)
-    cal.add_argument("--out", required=True)
+    for exp, body in ((st, _strichartz), (ha, _hartree), (cal, _calibrate)):
+        exp.add_argument("--config", required=True)
+        exp.add_argument("--out", required=True)
+        exp.set_defaults(command=functools.partial(_experiment, body=body))
 
     rep = sub.add_parser("report", help="aggregate run records")
     rep.add_argument("records", nargs="+")
     rep.add_argument("--out", default=None)
+    rep.set_defaults(command=_cmd_report)
     return ap
 
 
@@ -572,18 +532,8 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     try:
-        if args.subcommand == "check":
-            return _cmd_check(args)
-        if args.subcommand == "strichartz":
-            return _cmd_strichartz(args)
-        if args.subcommand == "hartree":
-            return _cmd_hartree(args)
-        if args.subcommand == "calibrate-l1":
-            return _cmd_calibrate(args)
-        if args.subcommand == "report":
-            return _cmd_report(args)
-        raise ValidationError(f"unknown subcommand {args.subcommand!r}")
-    except (ValidationError, ValueError) as e:
+        return args.command(args)
+    except (ValidationError, ValueError, OSError) as e:  # OSError: an unwritable output
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except RuntimeError as e:

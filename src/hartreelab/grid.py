@@ -115,17 +115,19 @@ class Grid:
 
 @dataclass
 class Field:
-    """Complex-valued function sampled on a grid.
+    """Function sampled on a grid.
 
-    values has shape grid.shape.  The L^2 inner product carries the
-    quadrature weight h^d.
+    values has shape grid.shape; real samples stay float64 (a density, a
+    potential), any other values are held as complex.  The L^2 inner product
+    carries the quadrature weight h^d.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = np.asarray(self.values,
+                                 dtype=complex if np.iscomplexobj(self.values) else float)
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid shape {self.grid.shape}"

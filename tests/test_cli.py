@@ -340,6 +340,25 @@ def test_report_recomputes_slopes_consistently(tmp_path):
     assert run(["report", str(tmp_path / "missing.json")]) == 1
 
 
+def test_report_reads_each_output_next_to_its_record(tmp_path, capsys, monkeypatch):
+    # a record names its outputs from the writer's directory; report runs from another
+    cfg = _write(tmp_path / "exp.config", SINGULAR_CONFIG)
+    (tmp_path / "writer").mkdir()
+    (tmp_path / "reader").mkdir()
+    monkeypatch.chdir(tmp_path / "writer")
+    assert run(["strichartz", "singular", "--config", cfg, "--out", "mc"]) == 0
+    assert json.loads(Path("mc/record.json").read_text())["outputs"] == ["mc/moments.csv"]
+    monkeypatch.chdir(tmp_path / "reader")
+    record = os.path.join("..", "writer", "mc", "record.json")
+    capsys.readouterr()
+    assert run(["report", record]) == 0
+    assert "slope_recomputed=" in capsys.readouterr().out
+    os.remove(os.path.join("..", "writer", "mc", "moments.csv"))
+    assert run(["report", record]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable output ../writer/mc/moments.csv")
+
+
 HARTREE_CONFIG = """\
 [grid]
 d = 2
@@ -676,12 +695,46 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-@pytest.mark.parametrize("argv, base, sections", _PROPERTY_BASES,
-                         ids=[" ".join(a) + (" oracle" if "oracle" in b else "")
-                              for a, b, _ in _PROPERTY_BASES])
+_PROPERTY_IDS = [" ".join(a) + (" oracle" if "oracle" in b else "") for a, b, _ in _PROPERTY_BASES]
+
+
+@pytest.mark.parametrize("argv, base, sections", _PROPERTY_BASES, ids=_PROPERTY_IDS)
 def test_each_property_base_config_runs(argv, base, sections):
     code, numbers = _run_in_memory(argv, base)
     assert code == 0 and all(np.isfinite(numbers))
+
+
+@pytest.mark.parametrize("argv, base, sections", _PROPERTY_BASES, ids=_PROPERTY_IDS)
+def test_every_experiment_writes_its_tables_then_one_record(tmp_path, capsys, argv, base,
+                                                            sections):
+    out = tmp_path / "o"
+    assert run([*argv, "--config", _write(tmp_path / "c.config", base), "--out", str(out)]) == 0
+    rec = json.loads((out / "record.json").read_text())
+    assert sorted(rec["outputs"]) == sorted(str(path) for path in out.glob("*.csv"))
+    assert sorted(path.name for path in out.iterdir() if path.suffix != ".csv") == ["record.json"]
+    wrote = capsys.readouterr().out.splitlines()[-1]
+    assert wrote == f"wrote {', '.join(rec['outputs'] + [str(out / 'record.json')])}"
+
+
+_EXPERIMENT_BASES = {" ".join(a): b for a, b, _ in _PROPERTY_BASES}
+# (command, --out relative to the test directory): the config file itself, a path under
+# it, and for report a table under a file or in a missing directory
+_UNWRITABLE = ([(c, out) for c in _EXPERIMENT_BASES for out in ("s.config", "s.config/o")]
+               + [("report", "s.config/summary.csv"), ("report", "missing/summary.csv")])
+
+
+@pytest.mark.parametrize("command, out", _UNWRITABLE, ids=[f"{c}-{o}" for c, o in _UNWRITABLE])
+def test_an_output_that_cannot_be_written_exits_one_by_path(tmp_path, capsys, command, out):
+    cfg = _write(tmp_path / "s.config", _EXPERIMENT_BASES.get(command, SINGULAR_CONFIG))
+    out = str(tmp_path / out)
+    if command == "report":
+        record = _write(tmp_path / "record.json", json.dumps({"command": "calibrate-l1"}))
+        argv = ["report", record, "--out", out]
+    else:
+        argv = [*command.split(), "--config", cfg, "--out", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and out in err
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)

@@ -143,6 +143,15 @@ def test_field_algebra_and_errors():
     assert np.isclose(u.inner(u).real, g.L)
 
 
+def test_a_real_field_stays_float64():
+    # a density or a potential holds half the bytes of its complex cast
+    g = make_grid(1, 32, 12.0)
+    assert Field(g, np.ones(g.shape)).values.dtype == np.float64
+    assert Field(g, np.ones(g.shape, dtype=int)).values.dtype == np.float64
+    assert Field(g, np.ones(g.shape) + 0j).values.dtype == np.complex128
+    assert (2j * Field(g, np.ones(g.shape))).values.dtype == np.complex128
+
+
 def test_real_space_kernel_of_multiplier():
     # the kernel of a pure frequency mode xi_j is e^{i xi_j (x-y)} / L^d
     g = make_grid(1, 32, 16.0)

@@ -634,6 +634,7 @@ def test_linearized_solve_residual_and_consistency():
     Q0 = _small_data(g, rank=3, seed=5)
     run = linearized_solve(Q0, bg, 0.2, 0.01)
     assert run.residual <= 1e-8
+    assert all(rho.values.dtype == np.float64 for rho in run.rho_frames)
     # Q(t) = U(t) Q0 U(-t) + D_{w*rho}[gamma_f](t) carries the solved density
     # (largest gap seen: 2.2e-16 of max|rho|)
     V = Trajectory(run.times, [Field(g, np.real(convolve_potential(bg.w_hat, rho).values))
